@@ -122,6 +122,24 @@ fn main() {
         assert!(r.traced_bit_identical, "trace ring changed the estimate");
         assert!(r.trace_overflow_dropped > 0, "overflowing ring did not count drops");
         pipeline_hotpath::print_report(&r);
+        // Warm FleetEngine: a second batch over the same logs allocates
+        // only for its results and channel/thread set-up, so the count
+        // per trip cannot depend on the trip length.
+        let fleet =
+            pipeline_hotpath::fleet_warm_allocs_per_trip(77).expect("counting allocator installed");
+        println!(
+            "warm FleetEngine allocs/trip: {}",
+            pipeline_hotpath::FLEET_PROBE_LENGTHS_M
+                .iter()
+                .zip(&fleet)
+                .map(|(m, n)| format!("{:.0} km: {n:.2}", m / 1000.0))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        assert!(
+            fleet.windows(2).all(|w| w[0] == w[1]),
+            "warm FleetEngine allocations per trip grow with trip length: {fleet:?}"
+        );
         ran += 1;
     }
 

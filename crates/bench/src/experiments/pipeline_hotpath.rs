@@ -20,10 +20,15 @@
 use crate::perfbench::{alloc_counter, run_bench, BenchReport};
 use crate::report::{print_table, save_json};
 use crate::scenarios::red_road_drive;
+use gradest_core::fleet::FleetEngine;
 use gradest_core::pipeline::{
     EstimatorConfig, EstimatorScratch, GradientEstimate, GradientEstimator, StageNanos,
 };
+use gradest_geo::generate::straight_road;
+use gradest_geo::Route;
 use gradest_obs::{RunRecorder, RunReport, Tee, TraceRing};
+use gradest_sensors::suite::{SensorConfig, SensorLog, SensorSuite};
+use gradest_sim::trip::{simulate_trip, TripConfig};
 use serde::{Deserialize, Serialize};
 
 /// Pipeline hot-path benchmark result (`BENCH_pipeline.json`).
@@ -234,6 +239,54 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
         trace_events_per_trip,
         trace_overflow_dropped,
     }
+}
+
+/// Trip lengths, in metres, of the warm-engine allocation probe.
+pub const FLEET_PROBE_LENGTHS_M: [f64; 2] = [1000.0, 4000.0];
+
+/// Heap allocations per trip (averaged over a 4-trip batch) of a warm
+/// [`FleetEngine::process_batch`], one entry per
+/// [`FLEET_PROBE_LENGTHS_M`] trip length; `None` when no counting
+/// allocator is installed in this process.
+///
+/// Each length gets its own 1-worker engine and a batch of four trips
+/// simulated on a straight road; the engine runs the batch once to warm
+/// its scratch pool, then the second call over the same logs is
+/// counted. With the scratch kept across calls, the only allocations
+/// left are the returned estimates (whose buffers are sized up front)
+/// and the channel and thread set-up of the call, so the count per trip
+/// is the same for every trip length. A worker starting from a cold
+/// scratch would instead regrow the trip's working set by doubling,
+/// which costs more allocations the longer the trip. One worker keeps
+/// the count deterministic: it sees every trip of the warm-up call, so
+/// its scratch is already as large as the largest of them.
+pub fn fleet_warm_allocs_per_trip(seed: u64) -> Option<Vec<f64>> {
+    if !alloc_counter::is_installed() {
+        return None;
+    }
+    const TRIPS: u64 = 4;
+    let estimator =
+        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let per_trip = FLEET_PROBE_LENGTHS_M
+        .iter()
+        .map(|&length_m| {
+            let route = Route::new(vec![straight_road(length_m, 1.5)]).expect("one-road route");
+            let logs: Vec<SensorLog> = (0..TRIPS)
+                .map(|k| {
+                    let traj = simulate_trip(&route, &TripConfig::default(), seed + k);
+                    SensorSuite::new(SensorConfig::default()).run(&traj, seed + k)
+                })
+                .collect();
+            let engine = FleetEngine::new(estimator.clone(), 1);
+            let warm = engine.process_batch(&logs, Some(&route));
+            let before = alloc_counter::allocations();
+            let ests = engine.process_batch(&logs, Some(&route));
+            let allocs = alloc_counter::allocations() - before;
+            assert_eq!(ests, warm, "warm engine changed the estimates");
+            allocs as f64 / TRIPS as f64
+        })
+        .collect();
+    Some(per_trip)
 }
 
 /// Prints the timing table and writes `BENCH_pipeline.json`.

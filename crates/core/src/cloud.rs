@@ -133,7 +133,9 @@ impl CloudAggregator {
 
     /// Ingests one vehicle's track for a road. Each estimate lands in the
     /// arc cell containing its position and joins the running convex
-    /// combination. Estimates with non-positive variance are skipped.
+    /// combination. Estimates whose variance is not finite and positive
+    /// are skipped (a NaN would poison the cell sums, an infinite one
+    /// would count as a contributor with zero weight).
     ///
     /// Takes `&self`: concurrent uploads are safe, and uploads to
     /// different roads rarely contend (they serialise only when both
@@ -158,7 +160,8 @@ impl CloudAggregator {
             let mut shard = self.stripe(road_id).write();
             let acc = shard.entry(road_id).or_default();
             for ((s, theta), var) in track.s.iter().zip(&track.theta).zip(&track.variance) {
-                if *var <= 0.0 || !theta.is_finite() || !s.is_finite() || *s < 0.0 {
+                let usable = var.is_finite() && *var > 0.0 && theta.is_finite();
+                if !usable || !s.is_finite() || *s < 0.0 {
                     continue;
                 }
                 let idx = (*s / self.grid_ds) as usize;
@@ -258,6 +261,35 @@ mod tests {
         for th in &p.theta {
             assert!((th - 0.04).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn non_finite_variances_are_skipped_and_clean_samples_land() {
+        let cloud = CloudAggregator::new(5.0);
+        cloud.upload(1, &track(0.04, 1e-4, 10));
+        let cells_before = cloud.stripe(1).read()[&1].cells.clone();
+        // Bad variances over the existing cells, clean samples past them.
+        // Built field by field: `GradientTrack::push` rejects these.
+        let mut mixed = GradientTrack::new("v");
+        for (i, var) in [f64::NAN, f64::INFINITY, -f64::NAN, f64::NAN, f64::INFINITY, 2e-4, 2e-4]
+            .into_iter()
+            .enumerate()
+        {
+            mixed.s.push(i as f64 * 7.5);
+            mixed.theta.push(0.02);
+            mixed.variance.push(var);
+        }
+        cloud.upload(1, &mixed);
+        let shard = cloud.stripe(1).read();
+        let cells = &shard[&1].cells;
+        // The bad samples fell in cells 0, 1, 3, 4 and 6: untouched, bit
+        // for bit, as are their neighbours.
+        assert_eq!(cells[..7], cells_before[..7]);
+        assert_eq!(cells[8], cells_before[8]);
+        // The two clean samples (s = 37.5 and 45 m) landed.
+        assert_eq!(cells[7].uploads, 2);
+        assert_eq!(cells[9].uploads, 2);
+        assert!(cells.iter().all(|c| c.weighted_theta.is_finite() && c.inv_variance.is_finite()));
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //! send (index, result)`, and the main thread reorders results through a
 //! hold-back buffer. Slow trips therefore never stall workers, only the
 //! in-order delivery point.
+//!
+//! Workers are spawned per call, but their working memory is not: the
+//! engine keeps up to `workers` warm [`EstimatorScratch`]es between
+//! calls, so a stream of short batches (a few trips each) runs on warm
+//! buffers instead of regrowing a trip's working set from empty.
 
 use crate::cloud::CloudAggregator;
-use crate::pipeline::{GradientEstimate, GradientEstimator};
+use crate::pipeline::{EstimatorScratch, GradientEstimate, GradientEstimator};
+use crate::sync::Mutex;
 use crossbeam::channel;
 use gradest_geo::index::NetworkIndex;
 use gradest_geo::network::RoadNetwork;
@@ -52,22 +58,46 @@ enum MapMode<'a> {
 /// let estimates = engine.process_batch(&logs, None);
 /// assert_eq!(estimates.len(), logs.len());
 /// ```
-#[derive(Debug, Clone)]
+///
+/// # Memory
+///
+/// Each worker estimates on an [`EstimatorScratch`] it takes from the
+/// engine's pool (or creates when the pool is empty) and returns when
+/// its job loop ends, so later calls start warm. The pool holds at most
+/// `workers` scratches; extras from concurrent calls are dropped. After
+/// a call returns, the engine therefore keeps up to `workers` × the
+/// largest trip's working set (for a 4–6 km trip, about 10 MB each),
+/// released when the engine is dropped. A clone starts with an empty
+/// pool.
+#[derive(Debug)]
 pub struct FleetEngine {
     estimator: GradientEstimator,
     workers: usize,
+    // sync: guards only the idle-scratch stack; a worker holds the lock
+    // for one pop when it starts and one push when its job loop ends,
+    // never while estimating.
+    scratch_pool: Mutex<Vec<EstimatorScratch>>,
+}
+
+impl Clone for FleetEngine {
+    fn clone(&self) -> Self {
+        FleetEngine::new(self.estimator.clone(), self.workers)
+    }
 }
 
 impl FleetEngine {
     /// Creates an engine with an explicit worker count (clamped to at
     /// least one).
     ///
-    /// Note the per-trip pipeline itself fans its four EKF tracks onto
-    /// scoped threads when `parallel_tracks` is set; for large batches
-    /// on a saturated pool, disabling it in the estimator config avoids
-    /// oversubscription (results are identical either way).
+    /// The per-trip pipeline runs its (up to four) velocity-source EKF
+    /// tracks as one fused lane sweep on the worker's own thread, so a
+    /// pool of `workers` threads uses `workers` cores. Only the scalar
+    /// fallback (`force_scalar_tracks`, or more sources than lanes)
+    /// fans tracks onto scoped threads when `parallel_tracks` is set;
+    /// for large batches on a saturated pool, disabling it avoids
+    /// oversubscription there (results are identical either way).
     pub fn new(estimator: GradientEstimator, workers: usize) -> Self {
-        FleetEngine { estimator, workers: workers.max(1) }
+        FleetEngine { estimator, workers: workers.max(1), scratch_pool: Mutex::new(Vec::new()) }
     }
 
     /// Creates an engine sized to the machine's available parallelism.
@@ -244,10 +274,12 @@ impl FleetEngine {
                 let job_rx = job_rx.clone();
                 let res_tx = res_tx.clone();
                 let estimator = &self.estimator;
+                let pool = &self.scratch_pool;
+                let pool_cap = self.workers;
                 scope.spawn(move || {
-                    // One warm scratch per worker: after the first trip,
+                    // One warm scratch per worker, kept across calls:
                     // estimation reuses its buffers instead of the heap.
-                    let mut scratch = crate::pipeline::EstimatorScratch::new();
+                    let mut scratch = pool.lock().pop().unwrap_or_default();
                     // Network mode keeps one matcher per worker so its
                     // query scratch stays warm across trips.
                     let mut net_matcher = match map {
@@ -302,6 +334,12 @@ impl FleetEngine {
                             Histogram::FleetWorkerUtilization,
                             busy_ns as f64 / lifetime_ns as f64,
                         );
+                    }
+                    // Back to the pool for the next call, unless
+                    // concurrent calls already refilled it.
+                    let mut idle = pool.lock();
+                    if idle.len() < pool_cap {
+                        idle.push(scratch);
                     }
                 });
             }
@@ -443,6 +481,60 @@ mod tests {
         let report = rec.report();
         assert_eq!(report.span("network-match-trip").map(|s| s.count), Some(3));
         assert_eq!(report.span("fleet-worker-trip").map(|s| s.count), Some(3));
+    }
+
+    #[test]
+    fn warm_scratch_pool_reproduces_fresh_engines_and_stays_bounded() {
+        use gradest_geo::generate::city_network;
+        use gradest_geo::index::NetworkIndex;
+        let net = city_network(13);
+        let index = NetworkIndex::build(&net);
+        let long: Vec<SensorLog> = [(0usize, 25usize), (40, 70), (15, 88), (3, 60)]
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b))| {
+                let route = net.route_between(a, b, |r| r.length()).expect("grid is connected");
+                let traj = simulate_trip(&route, &TripConfig::default(), 80 + k as u64);
+                SensorSuite::new(SensorConfig::default()).run(&traj, 80 + k as u64)
+            })
+            .collect();
+        let route = Route::new(vec![straight_road(300.0, 1.0)]).unwrap();
+        let short = batch(&route, 3);
+        let estimator = GradientEstimator::new(EstimatorConfig::default());
+        let fresh = || FleetEngine::new(estimator.clone(), 1);
+        let expected_long = fresh().process_batch_network(&long, &net, &index);
+        let expected_short = fresh().process_batch(&short, Some(&route));
+
+        let engine = FleetEngine::new(estimator.clone(), 2);
+        let pooled = || engine.scratch_pool.lock().len();
+        assert_eq!(pooled(), 0);
+        assert_eq!(engine.process_batch_network(&long, &net, &index), expected_long);
+        assert_eq!(pooled(), 2, "both workers return their scratch");
+        assert_eq!(engine.process_batch_network(&long, &net, &index), expected_long);
+        assert!(pooled() <= 2);
+        // Shorter trips on scratch grown by longer ones, then the long
+        // trips again on scratch last used for shorter ones.
+        assert_eq!(engine.process_batch(&short, Some(&route)), expected_short);
+        assert!(pooled() <= 2);
+        assert_eq!(engine.process_batch_network(&long, &net, &index), expected_long);
+        assert!(pooled() <= 2);
+
+        // Concurrent calls bring back up to 6 scratches; the pool keeps
+        // at most `workers` of them.
+        std::thread::scope(|scope| {
+            let calls: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| engine.process_batch(&short, Some(&route))))
+                .collect();
+            for call in calls {
+                assert_eq!(call.join().unwrap(), expected_short);
+            }
+        });
+        assert!((1..=2).contains(&pooled()), "pool holds {} scratches", pooled());
+
+        // A clone shares nothing: it starts with an empty pool.
+        let clone = engine.clone();
+        assert_eq!(clone.scratch_pool.lock().len(), 0);
+        assert_eq!(clone.workers(), 2);
     }
 
     #[test]

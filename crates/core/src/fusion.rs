@@ -104,6 +104,10 @@ pub fn fuse_tracks_into(
     out.s.clear();
     out.theta.clear();
     out.variance.clear();
+    // Sized up front: a fresh output grows in one step, not by doubling.
+    out.s.reserve(first.s.len());
+    out.theta.reserve(first.s.len());
+    out.variance.reserve(first.s.len());
     for i in 0..first.s.len() {
         let mut inv_sum = 0.0;
         let mut weighted = 0.0;

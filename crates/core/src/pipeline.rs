@@ -20,7 +20,6 @@ use crate::steering::{smooth_profile_into, SmoothedProfile};
 use crate::track::GradientTrack;
 use gradest_geo::Route;
 use gradest_math::lowess::LowessScratch;
-use gradest_math::{Mat2, Vec2};
 use gradest_obs::{
     Counter, Histogram, NoopRecorder, Recorder, Span, SpanTimer, TraceEvent, TraceHealth,
     TraceSource,
@@ -148,12 +147,12 @@ impl Default for EstimatorConfig {
 pub use gradest_obs::StageNanos;
 
 /// Per-source working set for one EKF track: measurement staging, filter
-/// history, the track under construction, and the RTS output buffer.
+/// history, and the track under construction (the RTS pass smooths it in
+/// place).
 #[derive(Debug, Clone, Default)]
 pub struct TrackScratch {
     measurements: Vec<(f64, f64)>,
     history: Vec<RtsStep>,
-    smoothed: Vec<(Vec2, Mat2)>,
     track: GradientTrack,
     // Lazily built on the first *recorded* trip and then reset-and-
     // reused (reset keeps the window's capacity), so the warm recorded
@@ -611,7 +610,8 @@ impl GradientEstimator {
 
     /// Runs one EKF over the trip for one measurement stream, producing an
     /// arc-indexed track in `ts.track` (reading `ts.measurements`, staging
-    /// the filter history in `ts.history`/`ts.smoothed`).
+    /// the filter history in `ts.history`, which the RTS pass smooths
+    /// straight into the track).
     ///
     /// Arc positioning integrates the EKF velocity (odometry) and, when
     /// map-matched GPS arc positions are available (`matched_s`, one entry
@@ -632,7 +632,7 @@ impl GradientEstimator {
         ts: &mut TrackScratch,
         rec: &R,
     ) {
-        let TrackScratch { measurements, history, smoothed, track, monitor } = ts;
+        let TrackScratch { measurements, history, track, monitor } = ts;
         let measurements: &[(f64, f64)] = measurements;
         let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
         let mut ekf = GradientEkf::new(self.config.ekf, v0);
@@ -727,11 +727,7 @@ impl GradientEstimator {
             }
         }
         if self.config.rts_smoothing {
-            rts_smooth_into(history, smoothed);
-            for (i, (x, p)) in smoothed.iter().enumerate() {
-                track.theta[i] = x.y;
-                track.variance[i] = p.m[1][1].max(1e-12);
-            }
+            rts_smooth_into(history, &mut track.theta, &mut track.variance);
         }
         if rec.enabled() {
             rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
@@ -906,17 +902,16 @@ impl GradientEstimator {
             if let [a, b, c, d] = lanes {
                 rts_smooth_lanes_into(
                     [&a.history, &b.history, &c.history, &d.history],
-                    [&mut a.smoothed, &mut b.smoothed, &mut c.smoothed, &mut d.smoothed],
+                    [
+                        (&mut a.track.theta, &mut a.track.variance),
+                        (&mut b.track.theta, &mut b.track.variance),
+                        (&mut c.track.theta, &mut c.track.variance),
+                        (&mut d.track.theta, &mut d.track.variance),
+                    ],
                 );
             } else {
                 for ts in lanes.iter_mut() {
-                    rts_smooth_into(&ts.history, &mut ts.smoothed);
-                }
-            }
-            for ts in lanes.iter_mut() {
-                for (i, (x, p)) in ts.smoothed.iter().enumerate() {
-                    ts.track.theta[i] = x.y;
-                    ts.track.variance[i] = p.m[1][1].max(1e-12);
+                    rts_smooth_into(&ts.history, &mut ts.track.theta, &mut ts.track.variance);
                 }
             }
         }

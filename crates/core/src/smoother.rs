@@ -36,31 +36,42 @@ pub struct RtsStep {
     pub f: Mat2,
 }
 
-/// Runs the backward RTS recursion into a caller-owned buffer
-/// (overwritten), so a warm caller pays no allocation. See
+/// One backward RTS step: smooths `step` given the next step's record
+/// and its smoothed `(x_s, P_s)`. A singular predicted covariance at
+/// `next` yields the filtered estimate unchanged (no smoothing gain).
+#[inline]
+fn rts_step(step: &RtsStep, next: &RtsStep, (x_s_next, p_s_next): (Vec2, Mat2)) -> (Vec2, Mat2) {
+    let Ok(p_pred_inv) = next.p_pred.inverse() else {
+        return (step.x_filt, step.p_filt);
+    };
+    let c = step.p_filt * next.f.transpose() * p_pred_inv;
+    let x = step.x_filt + c * (x_s_next - next.x_pred);
+    let mut p = step.p_filt + c * (p_s_next - next.p_pred) * c.transpose();
+    p.symmetrize();
+    // Guard the diagonal against numerically negative variances.
+    p.m[0][0] = p.m[0][0].max(1e-12);
+    p.m[1][1] = p.m[1][1].max(1e-12);
+    (x, p)
+}
+
+/// Runs the backward RTS recursion straight into a gradient track's
+/// columns: `theta[k]` receives the smoothed θ of step `k` and
+/// `variance[k]` its `max(P_θθ, 1e-12)`. The running smoothed state
+/// lives in locals, so the pass needs no buffer at all. See
 /// [`rts_smooth`] for semantics.
-pub fn rts_smooth_into(history: &[RtsStep], out: &mut Vec<(Vec2, Mat2)>) {
-    let n = history.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-    out.extend(history.iter().map(|s| (s.x_filt, s.p_filt)));
-    // Backward pass: smooth step k using step k+1's prediction.
-    for k in (0..n - 1).rev() {
-        let next = &history[k + 1]; // lint:allow(hot-index) k < n - 1 from the loop range
-        let Ok(p_pred_inv) = next.p_pred.inverse() else {
-            continue; // keep the filtered estimate at this step
+///
+/// The columns hold one entry per history step; if they are shorter,
+/// only the history prefix they cover is smoothed.
+pub fn rts_smooth_into(history: &[RtsStep], theta: &mut [f64], variance: &mut [f64]) {
+    let mut next: Option<(&RtsStep, (Vec2, Mat2))> = None;
+    for ((step, th), var) in history.iter().zip(theta.iter_mut()).zip(variance.iter_mut()).rev() {
+        let smoothed = match next {
+            Some((next_step, s_next)) => rts_step(step, next_step, s_next),
+            None => (step.x_filt, step.p_filt),
         };
-        let c = history[k].p_filt * next.f.transpose() * p_pred_inv;
-        let (x_s_next, p_s_next) = out[k + 1]; // lint:allow(hot-index) out holds n entries; k + 1 <= n - 1
-        let x = history[k].x_filt + c * (x_s_next - next.x_pred);
-        let mut p = history[k].p_filt + c * (p_s_next - next.p_pred) * c.transpose();
-        p.symmetrize();
-        // Guard the diagonal against numerically negative variances.
-        p.m[0][0] = p.m[0][0].max(1e-12);
-        p.m[1][1] = p.m[1][1].max(1e-12);
-        out[k] = (x, p);
+        *th = smoothed.0.y;
+        *var = smoothed.1.m[1][1].max(1e-12);
+        next = Some((step, smoothed));
     }
 }
 
@@ -71,39 +82,40 @@ pub fn rts_smooth_into(history: &[RtsStep], out: &mut Vec<(Vec2, Mat2)>) {
 /// of running back to back. Per lane the operation sequence is exactly
 /// [`rts_smooth_into`]'s, so results are bit-identical.
 ///
-/// The interleave requires equal history lengths (the fused pipeline
-/// records one step per IMU sample per lane, so they always match
-/// there); unequal lengths fall back to four sequential passes.
-pub fn rts_smooth_lanes_into(histories: [&[RtsStep]; 4], outs: [&mut Vec<(Vec2, Mat2)>; 4]) {
+/// `tracks[l]` is lane `l`'s `(theta, variance)` column pair. The
+/// interleave requires every history and column to have the same
+/// length (the fused pipeline records one step and one track sample per
+/// IMU sample per lane, so they always match there); otherwise it falls
+/// back to four sequential passes.
+pub fn rts_smooth_lanes_into(
+    histories: [&[RtsStep]; 4],
+    mut tracks: [(&mut [f64], &mut [f64]); 4],
+) {
     let n = histories[0].len();
-    if histories.iter().any(|h| h.len() != n) {
-        for (history, out) in histories.into_iter().zip(outs) {
-            rts_smooth_into(history, out);
+    let equal = histories.iter().all(|h| h.len() == n)
+        && tracks.iter().all(|(th, var)| th.len() == n && var.len() == n);
+    if !equal {
+        for (history, (theta, variance)) in histories.into_iter().zip(tracks) {
+            rts_smooth_into(history, theta, variance);
         }
         return;
     }
-    let mut lane_outs = outs;
-    for (history, out) in histories.iter().zip(lane_outs.iter_mut()) {
-        out.clear();
-        out.extend(history.iter().map(|s| (s.x_filt, s.p_filt)));
-    }
-    if n == 0 {
+    let Some(last) = n.checked_sub(1) else {
         return;
+    };
+    let mut state = histories.map(|h| (h[last].x_filt, h[last].p_filt));
+    for ((theta, variance), &(x, p)) in tracks.iter_mut().zip(&state) {
+        theta[last] = x.y;
+        variance[last] = p.m[1][1].max(1e-12);
     }
-    for k in (0..n - 1).rev() {
-        for (history, out) in histories.iter().zip(lane_outs.iter_mut()) {
-            let next = &history[k + 1]; // lint:allow(hot-index) k < n - 1 from the loop range
-            let Ok(p_pred_inv) = next.p_pred.inverse() else {
-                continue; // keep the filtered estimate at this step
-            };
-            let c = history[k].p_filt * next.f.transpose() * p_pred_inv;
-            let (x_s_next, p_s_next) = out[k + 1]; // lint:allow(hot-index) out holds n entries; k + 1 <= n - 1
-            let x = history[k].x_filt + c * (x_s_next - next.x_pred);
-            let mut p = history[k].p_filt + c * (p_s_next - next.p_pred) * c.transpose();
-            p.symmetrize();
-            p.m[0][0] = p.m[0][0].max(1e-12);
-            p.m[1][1] = p.m[1][1].max(1e-12);
-            out[k] = (x, p);
+    for k in (0..last).rev() {
+        for ((history, (theta, variance)), s) in
+            histories.iter().zip(tracks.iter_mut()).zip(state.iter_mut())
+        {
+            // lint:allow(hot-index) k < n - 1 from the loop range
+            *s = rts_step(&history[k], &history[k + 1], *s);
+            theta[k] = s.0.y;
+            variance[k] = s.1.m[1][1].max(1e-12);
         }
     }
 }
@@ -114,8 +126,14 @@ pub fn rts_smooth_lanes_into(histories: [&[RtsStep]; 4], outs: [&mut Vec<(Vec2, 
 /// Near-singular predicted covariances fall back to the filtered estimate
 /// for that step (no smoothing gain), so the pass never fails.
 pub fn rts_smooth(history: &[RtsStep]) -> Vec<(Vec2, Mat2)> {
-    let mut out = Vec::new();
-    rts_smooth_into(history, &mut out);
+    let mut out: Vec<(Vec2, Mat2)> = history.iter().map(|s| (s.x_filt, s.p_filt)).collect();
+    let mut next: Option<(&RtsStep, (Vec2, Mat2))> = None;
+    for (step, smoothed) in history.iter().zip(out.iter_mut()).rev() {
+        if let Some((next_step, s_next)) = next {
+            *smoothed = rts_step(step, next_step, s_next);
+        }
+        next = Some((step, *smoothed));
+    }
     out
 }
 
@@ -200,6 +218,31 @@ mod tests {
         }
     }
 
+    /// The `(θ, max(P_θθ, 1e-12))` columns of [`rts_smooth`]'s output:
+    /// what the pipeline copied into its tracks before the pass wrote
+    /// them directly.
+    fn columns(smoothed: &[(gradest_math::Vec2, gradest_math::Mat2)]) -> (Vec<f64>, Vec<f64>) {
+        smoothed.iter().map(|(x, p)| (x.y, p.m[1][1].max(1e-12))).unzip()
+    }
+
+    /// Runs [`rts_smooth_lanes_into`] into fresh columns, one pair per
+    /// history.
+    fn lanes(hists: [&[RtsStep]; 4]) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut cols: Vec<(Vec<f64>, Vec<f64>)> =
+            hists.iter().map(|h| (vec![f64::NAN; h.len()], vec![f64::NAN; h.len()])).collect();
+        let [a, b, c, d] = &mut cols[..] else { unreachable!() };
+        rts_smooth_lanes_into(
+            hists,
+            [
+                (&mut a.0, &mut a.1),
+                (&mut b.0, &mut b.1),
+                (&mut c.0, &mut c.1),
+                (&mut d.0, &mut d.1),
+            ],
+        );
+        cols
+    }
+
     #[test]
     fn interleaved_lanes_match_sequential_passes() {
         // Four different drives, equal history lengths: the interleaved
@@ -208,25 +251,71 @@ mod tests {
             .iter()
             .map(|&th| run_with_history(|t| if t < 15.0 { th } else { -th }, 30.0).0)
             .collect();
-        let mut expected: Vec<Vec<(gradest_math::Vec2, gradest_math::Mat2)>> =
-            hists.iter().map(|h| rts_smooth(h)).collect();
-        let mut outs: Vec<Vec<(gradest_math::Vec2, gradest_math::Mat2)>> = vec![Vec::new(); 4];
-        let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };
-        rts_smooth_lanes_into([&hists[0], &hists[1], &hists[2], &hists[3]], [o0, o1, o2, o3]);
-        assert_eq!(outs, expected);
+        let mut expected: Vec<(Vec<f64>, Vec<f64>)> =
+            hists.iter().map(|h| columns(&rts_smooth(h))).collect();
+        assert_eq!(lanes([&hists[0], &hists[1], &hists[2], &hists[3]]), expected);
 
         // Unequal lengths take the sequential fallback — same results.
         let short: Vec<RtsStep> = hists[3][..hists[3].len() / 2].to_vec();
-        expected[3] = rts_smooth(&short);
-        let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };
-        rts_smooth_lanes_into([&hists[0], &hists[1], &hists[2], &short], [o0, o1, o2, o3]);
-        assert_eq!(outs, expected);
+        expected[3] = columns(&rts_smooth(&short));
+        assert_eq!(lanes([&hists[0], &hists[1], &hists[2], &short]), expected);
 
-        // All-empty histories clear the outputs and return.
-        let empty: [&[RtsStep]; 4] = [&[], &[], &[], &[]];
-        let [o0, o1, o2, o3] = &mut outs[..] else { unreachable!() };
-        rts_smooth_lanes_into(empty, [o0, o1, o2, o3]);
-        assert!(outs.iter().all(|o| o.is_empty()));
+        // All-empty histories leave empty columns and return.
+        assert!(lanes([&[], &[], &[], &[]])
+            .iter()
+            .all(|(th, var)| th.is_empty() && var.is_empty()));
+    }
+
+    #[test]
+    fn direct_pass_through_singular_prediction_matches_buffered_copy() {
+        // The buffer-then-copy pass the direct one replaced: fill a
+        // `(x, P)` buffer with the filtered values, smooth it backward,
+        // skipping steps whose successor's prediction is singular, then
+        // copy θ and the clamped variance out.
+        fn buffered(history: &[RtsStep]) -> (Vec<f64>, Vec<f64>) {
+            let n = history.len();
+            let mut out: Vec<_> = history.iter().map(|s| (s.x_filt, s.p_filt)).collect();
+            for k in (0..n.saturating_sub(1)).rev() {
+                let next = &history[k + 1];
+                let Ok(p_pred_inv) = next.p_pred.inverse() else {
+                    continue;
+                };
+                let c = history[k].p_filt * next.f.transpose() * p_pred_inv;
+                let (x_s_next, p_s_next) = out[k + 1];
+                let x = history[k].x_filt + c * (x_s_next - next.x_pred);
+                let mut p = history[k].p_filt + c * (p_s_next - next.p_pred) * c.transpose();
+                p.symmetrize();
+                p.m[0][0] = p.m[0][0].max(1e-12);
+                p.m[1][1] = p.m[1][1].max(1e-12);
+                out[k] = (x, p);
+            }
+            columns(&out)
+        }
+
+        let (mut history, _) = run_with_history(|t| if t < 10.0 { 0.03 } else { -0.01 }, 20.0);
+        // Singular predictions mid-run and right before the last step,
+        // plus a filtered covariance whose θθ entry needs the clamp.
+        for k in [history.len() / 3, history.len() / 2, history.len() - 1] {
+            history[k].p_pred = gradest_math::Mat2::ZERO;
+        }
+        let k = history.len() / 2 - 1;
+        history[k].p_filt.m[1][1] = -1.0;
+        assert!(history[k + 1].p_pred.inverse().is_err());
+        let expected = buffered(&history);
+
+        let mut theta = vec![f64::NAN; history.len()];
+        let mut variance = vec![f64::NAN; history.len()];
+        rts_smooth_into(&history, &mut theta, &mut variance);
+        assert_eq!((theta, variance), expected);
+        assert_eq!(expected.1[k], 1e-12, "the clamp applies to a skipped step");
+        assert_eq!(columns(&rts_smooth(&history)), expected);
+
+        // The interleaved pass hits the same singular steps on one lane
+        // while the other lanes smooth normally.
+        let (clean, _) = run_with_history(|_| 0.02, 20.0);
+        let got = lanes([&clean, &history, &clean, &clean]);
+        assert_eq!(got[1], expected);
+        assert_eq!(got[0], buffered(&clean));
     }
 
     #[test]

@@ -44,7 +44,10 @@
 #                                        call-graph-derived warm-path module
 #                                        drift check (graph reachability vs
 #                                        pipeline::WARM_PATH_MODULES vs the
-#                                        lint's alloc-gated list)
+#                                        lint's alloc-gated list), and a warm
+#                                        FleetEngine whose allocations per
+#                                        trip do not grow with trip length
+#                                        (scratch kept warm across calls)
 #   8. geo index property tests        — packed R-tree nearest/bbox queries
 #                                        pinned against brute-force oracles
 #                                        on randomized segment sets
@@ -57,7 +60,13 @@
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
 #                                        past the frame cap
-#  11. service_soak_smoke              — gradest-serve on an ephemeral loopback
+#  11. gradbench unit tests           — the repository benchmark's own tests
+#                                        (percentile rule, due-time
+#                                        accounting, span self time, fail
+#                                        counting); gradbench is a separate
+#                                        package, so the workspace test run
+#                                        does not reach them
+#  12. service_soak_smoke              — gradest-serve on an ephemeral loopback
 #                                        port under 64 simulated phones: ≥500
 #                                        trips/s sustained, tiles bit-identical
 #                                        to direct aggregation, typed BUSY
@@ -174,9 +183,11 @@ if [[ "$MODE" != quick ]]; then
   # Hot-path smoke: one trip through the pipeline benchmark; the binary
   # asserts zero warm-path allocations (with and without a live
   # recorder), fast-vs-generic LOWESS agreement, warm-scratch and
-  # recorded bit-identity, and zero drift between the call-graph-derived
+  # recorded bit-identity, zero drift between the call-graph-derived
   # warm-path module set, pipeline::WARM_PATH_MODULES, and the linter's
-  # alloc-gated list.
+  # alloc-gated list, and that a warm FleetEngine's second batch over
+  # the same logs allocates as much per 1 km trip as per 4 km trip
+  # (a cold per-call scratch regrows by doubling and fails this).
   run_step "pipeline_hotpath_smoke" \
     cargo run --release -p gradest-bench --bin gradest-experiments -- pipeline_hotpath_smoke
 
@@ -198,6 +209,11 @@ if [[ "$MODE" != quick ]]; then
   # panic.
   run_step "serve protocol robustness" \
     cargo test -q -p gradest-serve --test protocol_robustness
+
+  # Benchmark harness unit tests: gradbench has its own manifest (an
+  # empty [workspace]), so `cargo test --workspace` never runs them.
+  run_step "gradbench unit tests" \
+    cargo test -q --offline --manifest-path gradbench/Cargo.toml
 
   # Service soak smoke: gradest-serve on an ephemeral loopback port,
   # 64 simulated phones. The binary asserts sustained throughput,
