@@ -118,10 +118,8 @@ pub fn run(seed: u64, samples: usize) -> PipelineHotpathBench {
     let drive = red_road_drive(seed);
     let log = &drive.log;
     let map = Some(&drive.route);
-    let fast =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let fast = GradientEstimator::new(EstimatorConfig::default());
     let generic = GradientEstimator::new(EstimatorConfig {
-        parallel_tracks: false,
         force_generic_lowess: true,
         ..Default::default()
     });
@@ -265,8 +263,7 @@ pub fn fleet_warm_allocs_per_trip(seed: u64) -> Option<Vec<f64>> {
         return None;
     }
     const TRIPS: u64 = 4;
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let per_trip = FLEET_PROBE_LENGTHS_M
         .iter()
         .map(|&length_m| {

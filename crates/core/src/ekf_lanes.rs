@@ -130,7 +130,8 @@ impl EkfLanes {
 
     /// Predict step for all four lanes: one `a_meas`/`dt` shared across
     /// lanes, transcendentals evaluated once per lane, covariance
-    /// propagated by [`propagate_cov`] (scalar or SSE2 twin).
+    /// propagated by the private `propagate_cov` kernel (scalar or SSE2
+    /// twin).
     ///
     /// Lane-for-lane bit-identical to
     /// `GradientEkf::predict_returning_jacobian(a_meas, dt)`.

@@ -6,7 +6,7 @@
 //! independent trips, which the single-trip pipeline
 //! ([`GradientEstimator::estimate`]) only exercises one core at a time.
 //! [`FleetEngine`] closes that gap: submit a batch of [`SensorLog`]s, a
-//! pool of workers drains a shared job channel, and results stream back
+//! pool of workers drains a shared job channel, and results come back
 //! in **submission order** regardless of which worker finishes first —
 //! so a 1-worker and an N-worker run produce bit-identical output.
 //!
@@ -89,21 +89,11 @@ impl FleetEngine {
     /// Creates an engine with an explicit worker count (clamped to at
     /// least one).
     ///
-    /// The per-trip pipeline runs its (up to four) velocity-source EKF
-    /// tracks as one fused lane sweep on the worker's own thread, so a
-    /// pool of `workers` threads uses `workers` cores. Only the scalar
-    /// fallback (`force_scalar_tracks`, or more sources than lanes)
-    /// fans tracks onto scoped threads when `parallel_tracks` is set;
-    /// for large batches on a saturated pool, disabling it avoids
-    /// oversubscription there (results are identical either way).
+    /// The per-trip pipeline runs its velocity-source EKF tracks as
+    /// fused lane sweeps on the worker's own thread and spawns nothing,
+    /// so a pool of `workers` threads uses at most `workers` cores.
     pub fn new(estimator: GradientEstimator, workers: usize) -> Self {
         FleetEngine { estimator, workers: workers.max(1), scratch_pool: Mutex::new(Vec::new()) }
-    }
-
-    /// Creates an engine sized to the machine's available parallelism.
-    pub fn with_default_workers(estimator: GradientEstimator) -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        FleetEngine::new(estimator, workers)
     }
 
     /// The configured worker count.
@@ -119,24 +109,7 @@ impl FleetEngine {
     /// Estimates every trip in the batch, returning results in
     /// submission order. Output is bit-identical for any worker count.
     pub fn process_batch(&self, logs: &[SensorLog], map: Option<&Route>) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.process_streaming(logs, map, |_, est| out.push(est));
-        out
-    }
-
-    /// [`Self::process_batch`] reporting to an observability
-    /// [`Recorder`]: the per-trip pipeline records through it, and the
-    /// pool adds batch/worker spans, job counters, hold-back depth, and
-    /// per-worker utilization.
-    pub fn process_batch_recorded<R: Recorder>(
-        &self,
-        logs: &[SensorLog],
-        map: Option<&Route>,
-        rec: &R,
-    ) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Shared(map), None, rec, |_, est| out.push(est));
-        out
+        self.run_pool(logs, MapMode::Shared(map), None, &NoopRecorder)
     }
 
     /// Estimates every trip in the batch with **network matching**: no
@@ -156,8 +129,10 @@ impl FleetEngine {
     }
 
     /// [`Self::process_batch_network`] reporting to an observability
-    /// [`Recorder`]: each trip's match time is recorded under the
-    /// `network-match-trip` span alongside the usual pool activity.
+    /// [`Recorder`]: the per-trip pipeline records through it, and the
+    /// pool adds batch/worker spans, job counters, hold-back depth,
+    /// per-worker utilization, and each trip's match time under the
+    /// `network-match-trip` span.
     pub fn process_batch_network_recorded<R: Recorder>(
         &self,
         logs: &[SensorLog],
@@ -165,36 +140,7 @@ impl FleetEngine {
         index: &NetworkIndex,
         rec: &R,
     ) -> Vec<GradientEstimate> {
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Network(net, index), None, rec, |_, est| out.push(est));
-        out
-    }
-
-    /// Estimates every trip in the batch, invoking `on_result(index,
-    /// estimate)` for each trip strictly in submission order, as soon as
-    /// that trip *and all earlier ones* have finished. Out-of-order
-    /// completions wait in a hold-back buffer, so the callback sees the
-    /// exact sequence a serial loop would produce.
-    pub fn process_streaming<F>(&self, logs: &[SensorLog], map: Option<&Route>, on_result: F)
-    where
-        F: FnMut(usize, GradientEstimate),
-    {
-        self.run_pool(logs, MapMode::Shared(map), None, &NoopRecorder, on_result);
-    }
-
-    /// [`Self::process_streaming`] reporting to an observability
-    /// [`Recorder`] (see [`Self::process_batch_recorded`]).
-    pub fn process_streaming_recorded<R, F>(
-        &self,
-        logs: &[SensorLog],
-        map: Option<&Route>,
-        rec: &R,
-        on_result: F,
-    ) where
-        R: Recorder,
-        F: FnMut(usize, GradientEstimate),
-    {
-        self.run_pool(logs, MapMode::Shared(map), None, rec, on_result);
+        self.run_pool(logs, MapMode::Network(net, index), None, rec)
     }
 
     /// [`Self::process_batch`] with cloud fan-in: each worker uploads
@@ -220,8 +166,9 @@ impl FleetEngine {
     }
 
     /// [`Self::process_batch_to_cloud`] reporting to an observability
-    /// [`Recorder`] (see [`Self::process_batch_recorded`]); the cloud
-    /// uploads record their spans and cell counts through it too.
+    /// [`Recorder`]: the per-trip pipeline and the cloud uploads record
+    /// through it, and the pool adds batch/worker spans, job counters,
+    /// hold-back depth, and per-worker utilization.
     ///
     /// # Panics
     ///
@@ -235,26 +182,20 @@ impl FleetEngine {
         rec: &R,
     ) -> Vec<GradientEstimate> {
         assert_eq!(road_ids.len(), logs.len(), "one road id per trip");
-        let mut out = Vec::with_capacity(logs.len());
-        self.run_pool(logs, MapMode::Shared(map), Some((road_ids, cloud)), rec, |_, est| {
-            out.push(est)
-        });
-        out
+        self.run_pool(logs, MapMode::Shared(map), Some((road_ids, cloud)), rec)
     }
 
-    fn run_pool<R, F>(
+    /// Runs the batch on the worker pool and returns the estimates in
+    /// submission order.
+    fn run_pool<R: Recorder>(
         &self,
         logs: &[SensorLog],
         map: MapMode<'_>,
         cloud: Option<(&[u64], &CloudAggregator)>,
         rec: &R,
-        mut on_result: F,
-    ) where
-        R: Recorder,
-        F: FnMut(usize, GradientEstimate),
-    {
+    ) -> Vec<GradientEstimate> {
         if logs.is_empty() {
-            return;
+            return Vec::new();
         }
         let batch_timer = SpanTimer::start(rec);
         let workers = self.workers.min(logs.len());
@@ -269,6 +210,7 @@ impl FleetEngine {
         // drains until `recv` reports disconnection.
         drop(job_tx);
 
+        let mut out = Vec::with_capacity(logs.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let job_rx = job_rx.clone();
@@ -346,25 +288,24 @@ impl FleetEngine {
             drop(res_tx);
             drop(job_rx);
 
-            // Hold-back reordering: emit index `next` only once every
-            // earlier trip has been emitted.
-            let mut next = 0usize;
+            // Hold-back reordering: append index `out.len()` only once
+            // every earlier trip has been appended.
             let mut pending: BTreeMap<usize, GradientEstimate> = BTreeMap::new();
             for (i, est) in res_rx.iter() {
                 pending.insert(i, est);
-                if rec.enabled() && i != next {
+                if rec.enabled() && i != out.len() {
                     // A result arrived out of order: sample how much is
                     // parked awaiting earlier trips.
                     rec.observe(Histogram::FleetHoldbackDepth, pending.len() as f64);
                 }
-                while let Some(est) = pending.remove(&next) {
-                    on_result(next, est);
-                    next += 1;
+                while let Some(est) = pending.remove(&out.len()) {
+                    out.push(est);
                 }
             }
-            assert_eq!(next, logs.len(), "worker pool dropped a job");
+            assert_eq!(out.len(), logs.len(), "worker pool dropped a job");
         });
         batch_timer.finish(rec, Span::FleetBatch);
+        out
     }
 }
 
@@ -396,19 +337,6 @@ mod tests {
         assert_eq!(serial.len(), parallel.len());
         // PartialEq over every track sample: bit-identical, not close.
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn streaming_preserves_submission_order() {
-        let route = Route::new(vec![straight_road(400.0, 1.0)]).unwrap();
-        let logs = batch(&route, 5);
-        let engine = FleetEngine::new(GradientEstimator::new(EstimatorConfig::default()), 3);
-        let mut seen = Vec::new();
-        engine.process_streaming(&logs, Some(&route), |i, est| {
-            assert!(!est.fused.is_empty());
-            seen.push(i);
-        });
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

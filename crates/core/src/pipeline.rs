@@ -11,7 +11,7 @@
 //! 4. track fusion by convex combination.
 
 use crate::diagnostics::{FilterHealth, InnovationMonitor, MonitorConfig};
-use crate::ekf::{EkfConfig, GradientEkf};
+use crate::ekf::EkfConfig;
 use crate::ekf_lanes::{EkfLanes, MAX_LANES};
 use crate::fusion::fuse_tracks_into;
 use crate::lane_change::{Bump, LaneChangeConfig, LaneChangeDetection, LaneChangeDetector};
@@ -95,21 +95,6 @@ pub struct EstimatorConfig {
     /// accuracy; the paper's filter is forward-only — disable for strict
     /// paper fidelity or causal comparisons).
     pub rts_smoothing: bool,
-    /// Run the per-source EKF tracks on scoped threads. Only consulted
-    /// by the scalar fallback path (see
-    /// [`Self::force_scalar_tracks`]): the default fused SoA sweep
-    /// advances every lane in one pass and has nothing to fan out. On
-    /// the fallback, tracks are independent filters over shared
-    /// read-only inputs collected in source order, so the output is
-    /// bit-identical to the serial path; ignored when the host reports
-    /// a single available core, where the spawns are pure overhead.
-    pub parallel_tracks: bool,
-    /// Run the per-source scalar [`GradientEkf`] tracks one source at a
-    /// time instead of the fused four-lane SoA sweep
-    /// ([`crate::ekf_lanes`]). The fused sweep is bit-identical lane
-    /// for lane, so this switch exists for A/B validation; configs
-    /// with more sources than lanes fall back to it automatically.
-    pub force_scalar_tracks: bool,
     /// Disable the uniform-grid LOWESS fast path in steering smoothing
     /// (see [`gradest_math::lowess::LowessConfig::force_generic`]): the
     /// generic path is the bit-exact reference, the fast path agrees
@@ -131,8 +116,6 @@ impl Default for EstimatorConfig {
             accel_blend_tau_s: 3.0,
             disable_lane_correction: false,
             rts_smoothing: true,
-            parallel_tracks: true,
-            force_scalar_tracks: false,
             force_generic_lowess: false,
         }
     }
@@ -150,7 +133,7 @@ pub use gradest_obs::StageNanos;
 /// history, and the track under construction (the RTS pass smooths it in
 /// place).
 #[derive(Debug, Clone, Default)]
-pub struct TrackScratch {
+pub(crate) struct TrackScratch {
     measurements: Vec<(f64, f64)>,
     history: Vec<RtsStep>,
     track: GradientTrack,
@@ -417,11 +400,10 @@ impl GradientEstimator {
         steering_angle_series_into(profile, detections, alpha);
         let t2 = Instant::now();
 
-        // 3. One EKF per source. The tracks are independent filters over
-        //    shared read-only inputs writing disjoint scratch slots, so
-        //    they fan out onto scoped threads when configured; slot order
-        //    is source order, keeping the result bit-identical to the
-        //    serial path.
+        // 3. One EKF per source, run as fused lane sweeps on this thread:
+        //    each chunk of up to `MAX_LANES` sources shares one pass over
+        //    the columnar IMU. Lanes never read each other's state, so
+        //    every track comes out the same whichever chunk it lands in.
         let n_src = cfg.sources.len();
         if track_scratch.len() < n_src {
             track_scratch.resize_with(n_src, TrackScratch::default);
@@ -431,7 +413,7 @@ impl GradientEstimator {
         // state only, so every source track would recompute the identical
         // arc sequence (~40 route probes per fix each). Invalid fixes hold
         // a NaN placeholder to keep indices aligned; they are skipped
-        // before use, exactly as the per-source matchers skipped them.
+        // before use.
         matched_s.clear();
         if let Some(route) = map {
             matched_s.reserve(log.gps.len());
@@ -441,94 +423,19 @@ impl GradientEstimator {
             }
         }
         let matched_s: &[f64] = matched_s;
-        // The fused SoA sweep ([`crate::ekf_lanes`]) advances every source
-        // in one pass over the columnar IMU — one transcendental set per
-        // sample instead of one per sample per source. Per lane it runs
-        // the exact scalar operation sequence, so the estimate is
-        // bit-identical to the per-source path below, which remains as an
-        // A/B switch and as the fallback for configs with more sources
-        // than lanes.
-        if !cfg.force_scalar_tracks && (1..=MAX_LANES).contains(&n_src) {
+        for (sources, lanes) in
+            cfg.sources.chunks(MAX_LANES).zip(track_scratch[..n_src].chunks_mut(MAX_LANES))
+        {
             self.run_ekf_lanes_into(
-                log,
-                imu_cols,
-                profile,
-                alpha,
-                dt,
-                matched_s,
-                &mut track_scratch[..n_src],
-                rec,
+                log, imu_cols, profile, alpha, dt, matched_s, sources, lanes, rec,
             );
-        } else {
-            let run_source = |source: VelocitySource, ts: &mut TrackScratch| {
-                let r = match source {
-                    VelocitySource::Gps => cfg.r_gps,
-                    VelocitySource::Speedometer => cfg.r_speedometer,
-                    VelocitySource::CanBus => cfg.r_can,
-                    VelocitySource::Accelerometer => cfg.r_accelerometer,
-                };
-                let timer = SpanTimer::start(rec);
-                self.measurement_series_into(log, source, &mut ts.measurements);
-                self.run_ekf_track_into(log, r, source, profile, alpha, dt, matched_s, ts, rec);
-                timer.finish(rec, track_span(source));
-            };
-            // `available_parallelism` is only consulted when the parallel
-            // path is plausible at all — it can allocate on some
-            // platforms, and the serial warm path must stay
-            // allocation-free.
-            let parallel = cfg.parallel_tracks
-                && n_src > 1
-                && std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) > 1;
-            if parallel {
-                std::thread::scope(|scope| {
-                    for (ts, &source) in track_scratch[..n_src].iter_mut().zip(&cfg.sources) {
-                        let run = &run_source;
-                        scope.spawn(move || run(source, ts));
-                    }
-                });
-            } else {
-                for (ts, &source) in track_scratch[..n_src].iter_mut().zip(&cfg.sources) {
-                    run_source(source, ts);
-                }
-            }
         }
         let t3 = Instant::now();
 
         // 4. Fuse on a common grid.
-        distances.clear();
-        distances.extend(track_scratch[..n_src].iter().filter_map(|ts| ts.track.s.last().copied()));
-        // Insertion sort: at most one distance per source, and
-        // `slice::sort_by` allocates its merge buffer.
-        for i in 1..distances.len() {
-            let mut j = i;
-            // lint:allow(hot-index) j > 0 on the left of && bounds j - 1
-            while j > 0 && distances[j - 1] > distances[j] {
-                distances.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        let length = distances.first().copied().unwrap_or(0.0);
-        let n_aligned = track_scratch[..n_src].iter().filter(|ts| !ts.track.is_empty()).count();
-        out.tracks.resize_with(n_aligned, GradientTrack::default);
-        let mut slot = 0usize;
-        for ts in track_scratch[..n_src].iter() {
-            if ts.track.is_empty() {
-                continue;
-            }
-            ts.track.resample_into(length, cfg.track_ds, &mut out.tracks[slot]);
-            slot += 1;
-        }
-        if fuse_tracks_into(&out.tracks, &mut out.fused).is_err() {
-            out.fused.label.clear();
-            out.fused.label.push_str("fused");
-            out.fused.s.clear();
-            out.fused.theta.clear();
-            out.fused.variance.clear();
-        }
+        resample_and_fuse_into(&track_scratch[..n_src], cfg.track_ds, distances, out);
         out.detections.clear();
         out.detections.extend_from_slice(detections);
-        // lint:allow(hot-index) len / 2 < len on the nonempty branch
-        out.distance_m = if distances.is_empty() { 0.0 } else { distances[distances.len() / 2] };
         let t4 = Instant::now();
         *stages = StageNanos {
             steering: (t1 - t0).as_nanos() as u64,
@@ -608,151 +515,24 @@ impl GradientEstimator {
         }
     }
 
-    /// Runs one EKF over the trip for one measurement stream, producing an
-    /// arc-indexed track in `ts.track` (reading `ts.measurements`, staging
-    /// the filter history in `ts.history`, which the RTS pass smooths
-    /// straight into the track).
+    /// Fused SoA track stage: runs one chunk of up to [`MAX_LANES`]
+    /// source tracks (`sources[l]` into `lanes[l]`) through one
+    /// [`EkfLanes`] filter in a single pass over the columnar IMU, then
+    /// smooths the lanes with the backward RTS recursion (interleaved
+    /// when all four lanes are occupied), writing each arc-indexed track
+    /// into its lane's scratch.
     ///
-    /// Arc positioning integrates the EKF velocity (odometry) and, when
-    /// map-matched GPS arc positions are available (`matched_s`, one entry
-    /// per GPS fix, NaN on invalid fixes, empty without a map), anchors the
-    /// odometer to them — the phone records a position with every
+    /// Per lane this is one scalar EKF over the trip: it predicts with
+    /// the measured longitudinal acceleration, updates with the lane's
+    /// Eq-2-corrected velocity measurements, and integrates its velocity
+    /// into an arc position anchored to the map-matched GPS arc positions
+    /// (`matched_s`, one entry per GPS fix, NaN on invalid fixes, empty
+    /// without a map) — the phone records a position with every
     /// estimate, so pure dead-reckoning drift (≈1 % of distance from the
-    /// speedometer's scale error) would be an artificial handicap.
-    #[allow(clippy::too_many_arguments)]
-    fn run_ekf_track_into<R: Recorder>(
-        &self,
-        log: &SensorLog,
-        r: f64,
-        source: VelocitySource,
-        profile: &SmoothedProfile,
-        alpha: &[f64],
-        dt: f64,
-        matched_s: &[f64],
-        ts: &mut TrackScratch,
-        rec: &R,
-    ) {
-        let TrackScratch { measurements, history, track, monitor } = ts;
-        let measurements: &[(f64, f64)] = measurements;
-        let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
-        let mut ekf = GradientEkf::new(self.config.ekf, v0);
-        let mut updates = 0u64;
-        // NIS consistency monitoring only runs when a recorder listens;
-        // the monitor is built once (first recorded trip) and reset
-        // thereafter, so warm recorded trips stay allocation-free.
-        let mut mon = if rec.enabled() {
-            let mon =
-                monitor.get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
-            mon.reset();
-            Some(mon)
-        } else {
-            None
-        };
-        track.label.clear();
-        track.label.push_str(source.label());
-        track.s.clear();
-        track.theta.clear();
-        track.variance.clear();
-        history.clear();
-        let mut s = 0.0;
-        let mut m_idx = 0usize;
-        let mut gps_idx = 0usize;
-        // Measurement times are non-decreasing, so the α lookup advances a
-        // cursor instead of re-running `partition_point` per measurement;
-        // the cursor lands on the same index the binary search would.
-        let mut a_idx = 0usize;
-        for imu in &log.imu {
-            let f = ekf.predict_returning_jacobian(imu.accel_long, dt);
-            let x_pred = gradest_math::Vec2::new(ekf.velocity(), ekf.theta());
-            let p_pred = ekf.covariance();
-            while m_idx < measurements.len() && measurements[m_idx].0 <= imu.t {
-                let (mt, mv) = measurements[m_idx];
-                // Eq 2: longitudinal velocity during detected lane changes.
-                let corrected = if self.config.disable_lane_correction {
-                    mv
-                } else {
-                    // α is exactly 0.0 outside detection windows, and
-                    // `mv * cos(0) == mv` bit-for-bit — skip the cosine.
-                    let a = alpha_at_cursor(profile, alpha, mt, &mut a_idx);
-                    if a == 0.0 {
-                        mv
-                    } else {
-                        mv * a.cos()
-                    }
-                };
-                if rec.enabled() {
-                    // Innovation as the update will see it: measurement
-                    // minus the predicted velocity state.
-                    let innovation = corrected - ekf.velocity();
-                    rec.observe(Histogram::EkfInnovation, innovation);
-                    if let Some(mon) = mon.as_deref_mut() {
-                        let before = mon.health();
-                        mon.record(innovation, ekf.innovation_variance(r));
-                        let after = mon.health();
-                        if after != before {
-                            record_health_transition(rec, source, before, after);
-                        }
-                    }
-                }
-                ekf.update(corrected, r);
-                updates += 1;
-                m_idx += 1;
-            }
-            s += ekf.velocity() * dt;
-            // Anchor the odometer to the pre-matched GPS arc positions.
-            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= imu.t {
-                let valid = log.gps[gps_idx].valid;
-                let fix_idx = gps_idx;
-                gps_idx += 1;
-                if !valid {
-                    continue;
-                }
-                if let Some(&s_gps) = matched_s.get(fix_idx) {
-                    s += 0.35 * (s_gps - s);
-                }
-            }
-            // Track arc positions must not regress.
-            if let Some(&last) = track.s.last() {
-                s = s.max(last);
-            }
-            track.push(s, ekf.theta(), ekf.theta_variance().max(1e-12));
-            if self.config.rts_smoothing {
-                history.push(RtsStep {
-                    x_pred,
-                    p_pred,
-                    x_filt: gradest_math::Vec2::new(ekf.velocity(), ekf.theta()),
-                    p_filt: ekf.covariance(),
-                    f,
-                });
-            }
-        }
-        if self.config.rts_smoothing {
-            rts_smooth_into(history, &mut track.theta, &mut track.variance);
-        }
-        if rec.enabled() {
-            rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
-            rec.incr(update_counter(source), updates);
-            if let Some(mon) = mon {
-                if updates > 0 {
-                    rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
-                }
-                let verdict = mon.health();
-                rec.incr(track_health_counter(verdict), 1);
-                if verdict == FilterHealth::Diverged {
-                    rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
-                }
-            }
-        }
-    }
-
-    /// Fused SoA track stage: runs up to [`MAX_LANES`] source tracks
-    /// through one [`EkfLanes`] filter in a single pass over the columnar
-    /// IMU, then smooths all lanes with one interleaved backward RTS
-    /// recursion. Per lane this executes [`Self::run_ekf_track_into`]'s
-    /// exact operation sequence (same predict/update arithmetic, same
-    /// cursor advances, same anchor order), so each lane's track is
-    /// bit-identical to the scalar path — asserted by
-    /// `fused_lanes_bit_identical_to_scalar_tracks`.
+    /// speedometer's scale error) would be an artificial handicap. Each
+    /// lane's track is bit-identical to a one-source scalar
+    /// [`crate::ekf::GradientEkf`] run, which the `pipeline::tests`
+    /// oracle asserts.
     ///
     /// The shared sweep halves the dominating per-sample cost: the
     /// `sin`/`cos` pair and the GPS cursor advance are computed once per
@@ -773,22 +553,20 @@ impl GradientEstimator {
         alpha: &[f64],
         dt: f64,
         matched_s: &[f64],
+        sources: &[VelocitySource],
         lanes: &mut [TrackScratch],
         rec: &R,
     ) {
         let cfg = &self.config;
-        let n_src = lanes.len();
-        debug_assert!((1..=MAX_LANES).contains(&n_src));
+        debug_assert!(sources.len() == lanes.len() && lanes.len() <= MAX_LANES);
         let n_imu = imu_cols.len();
         // Per-lane staging: measurement series, buffer resets, monitor
         // reset, and the R / initial-velocity capture the sweep reads.
-        let mut srcs = [VelocitySource::Gps; MAX_LANES];
         let mut rs = [1.0f64; MAX_LANES];
         let mut v0 = [10.0f64; MAX_LANES];
-        for (l, (ts, &source)) in lanes.iter_mut().zip(&cfg.sources).enumerate() {
+        for (l, (ts, &source)) in lanes.iter_mut().zip(sources).enumerate() {
             let timer = SpanTimer::start(rec);
             self.measurement_series_into(log, source, &mut ts.measurements);
-            srcs[l] = source;
             rs[l] = match source {
                 VelocitySource::Gps => cfg.r_gps,
                 VelocitySource::Speedometer => cfg.r_speedometer,
@@ -815,7 +593,7 @@ impl GradientEstimator {
         let mut s_arc = [0.0f64; MAX_LANES];
         let mut m_idx = [0usize; MAX_LANES];
         // Measurement times are non-decreasing, so the α lookup advances
-        // a per-lane cursor exactly as the scalar path does.
+        // a per-lane cursor instead of binary-searching per measurement.
         let mut a_idx = [0usize; MAX_LANES];
         let mut updates = [0u64; MAX_LANES];
         let mut gps_idx = 0usize;
@@ -860,7 +638,7 @@ impl GradientEstimator {
                             mon.record(innovation, ekf.innovation_variance(l, rs[l]));
                             let after = mon.health();
                             if after != before {
-                                record_health_transition(rec, srcs[l], before, after);
+                                record_health_transition(rec, sources[l], before, after);
                             }
                         }
                     }
@@ -918,7 +696,7 @@ impl GradientEstimator {
         if rec.enabled() {
             for (l, ts) in lanes.iter().enumerate() {
                 rec.incr(Counter::EkfPredicts, n_imu as u64);
-                rec.incr(update_counter(srcs[l]), updates[l]);
+                rec.incr(update_counter(sources[l]), updates[l]);
                 if let Some(mon) = ts.monitor.as_ref() {
                     if updates[l] > 0 {
                         rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
@@ -926,12 +704,56 @@ impl GradientEstimator {
                     let verdict = mon.health();
                     rec.incr(track_health_counter(verdict), 1);
                     if verdict == FilterHealth::Diverged {
-                        rec.event(TraceEvent::TrackDiverged { source: trace_source(srcs[l]) });
+                        rec.event(TraceEvent::TrackDiverged { source: trace_source(sources[l]) });
                     }
                 }
             }
         }
     }
+}
+
+/// Stage 4: resamples every non-empty source track onto a common grid
+/// (spacing `track_ds`, ending at the shortest track's arc length), fuses
+/// them by Eq 6, and takes the median track length as the trip distance.
+/// `distances` is caller-owned sort scratch.
+fn resample_and_fuse_into(
+    tracks: &[TrackScratch],
+    track_ds: f64,
+    distances: &mut Vec<f64>,
+    out: &mut GradientEstimate,
+) {
+    distances.clear();
+    distances.extend(tracks.iter().filter_map(|ts| ts.track.s.last().copied()));
+    // Insertion sort: at most one distance per source, and
+    // `slice::sort_by` allocates its merge buffer.
+    for i in 1..distances.len() {
+        let mut j = i;
+        // lint:allow(hot-index) j > 0 on the left of && bounds j - 1
+        while j > 0 && distances[j - 1] > distances[j] {
+            distances.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+    let length = distances.first().copied().unwrap_or(0.0);
+    let n_aligned = tracks.iter().filter(|ts| !ts.track.is_empty()).count();
+    out.tracks.resize_with(n_aligned, GradientTrack::default);
+    let mut slot = 0usize;
+    for ts in tracks.iter() {
+        if ts.track.is_empty() {
+            continue;
+        }
+        ts.track.resample_into(length, track_ds, &mut out.tracks[slot]);
+        slot += 1;
+    }
+    if fuse_tracks_into(&out.tracks, &mut out.fused).is_err() {
+        out.fused.label.clear();
+        out.fused.label.push_str("fused");
+        out.fused.s.clear();
+        out.fused.theta.clear();
+        out.fused.variance.clear();
+    }
+    // lint:allow(hot-index) len / 2 < len on the nonempty branch
+    out.distance_m = if distances.is_empty() { 0.0 } else { distances[distances.len() / 2] };
 }
 
 /// The per-track span of a velocity source.
@@ -1196,6 +1018,7 @@ fn alpha_at_cursor(profile: &SmoothedProfile, alpha: &[f64], t: f64, cursor: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ekf::GradientEkf;
     use gradest_geo::generate::{red_road, straight_road, two_lane_straight};
     use gradest_geo::Route;
     use gradest_sensors::suite::{SensorConfig, SensorSuite};
@@ -1212,55 +1035,218 @@ mod tests {
         GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(route))
     }
 
-    #[test]
-    fn parallel_tracks_bit_identical_to_serial() {
-        let route = Route::new(vec![straight_road(800.0, 2.0)]).unwrap();
-        let traj = simulate_trip(&route, &TripConfig::default(), 5);
-        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 5);
-        let serial = GradientEstimator::new(EstimatorConfig {
-            parallel_tracks: false,
-            ..Default::default()
-        })
-        .estimate(&log, Some(&route));
-        let parallel =
-            GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
-        assert_eq!(serial, parallel);
+    /// The scalar reference for one lane of the fused sweep: one
+    /// [`GradientEkf`] over the trip for the measurement stream staged
+    /// in `ts.measurements`, built one source at a time with the scalar
+    /// filter's own predict/update and a per-sample GPS anchor scan.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_track_into<R: Recorder>(
+        cfg: &EstimatorConfig,
+        log: &SensorLog,
+        source: VelocitySource,
+        profile: &SmoothedProfile,
+        alpha: &[f64],
+        dt: f64,
+        matched_s: &[f64],
+        ts: &mut TrackScratch,
+        rec: &R,
+    ) {
+        let r = match source {
+            VelocitySource::Gps => cfg.r_gps,
+            VelocitySource::Speedometer => cfg.r_speedometer,
+            VelocitySource::CanBus => cfg.r_can,
+            VelocitySource::Accelerometer => cfg.r_accelerometer,
+        };
+        let TrackScratch { measurements, history, track, monitor } = ts;
+        let measurements: &[(f64, f64)] = measurements;
+        let v0 = measurements.first().map(|m| m.1).unwrap_or(10.0);
+        let mut ekf = GradientEkf::new(cfg.ekf, v0);
+        let mut updates = 0u64;
+        let mut mon = rec.enabled().then(|| {
+            let mon =
+                monitor.get_or_insert_with(|| InnovationMonitor::new(MonitorConfig::default()));
+            mon.reset();
+            mon
+        });
+        track.label.clear();
+        track.label.push_str(source.label());
+        track.s.clear();
+        track.theta.clear();
+        track.variance.clear();
+        history.clear();
+        let mut s = 0.0;
+        let mut m_idx = 0usize;
+        let mut gps_idx = 0usize;
+        let mut a_idx = 0usize;
+        for imu in &log.imu {
+            let f = ekf.predict_returning_jacobian(imu.accel_long, dt);
+            let x_pred = gradest_math::Vec2::new(ekf.velocity(), ekf.theta());
+            let p_pred = ekf.covariance();
+            while m_idx < measurements.len() && measurements[m_idx].0 <= imu.t {
+                let (mt, mv) = measurements[m_idx];
+                let corrected = if cfg.disable_lane_correction {
+                    mv
+                } else {
+                    let a = alpha_at_cursor(profile, alpha, mt, &mut a_idx);
+                    if a == 0.0 {
+                        mv
+                    } else {
+                        mv * a.cos()
+                    }
+                };
+                if rec.enabled() {
+                    let innovation = corrected - ekf.velocity();
+                    rec.observe(Histogram::EkfInnovation, innovation);
+                    if let Some(mon) = mon.as_deref_mut() {
+                        let before = mon.health();
+                        mon.record(innovation, ekf.innovation_variance(r));
+                        let after = mon.health();
+                        if after != before {
+                            record_health_transition(rec, source, before, after);
+                        }
+                    }
+                }
+                ekf.update(corrected, r);
+                updates += 1;
+                m_idx += 1;
+            }
+            s += ekf.velocity() * dt;
+            while gps_idx < log.gps.len() && log.gps[gps_idx].t <= imu.t {
+                let valid = log.gps[gps_idx].valid;
+                let fix_idx = gps_idx;
+                gps_idx += 1;
+                if !valid {
+                    continue;
+                }
+                if let Some(&s_gps) = matched_s.get(fix_idx) {
+                    s += 0.35 * (s_gps - s);
+                }
+            }
+            if let Some(&last) = track.s.last() {
+                s = s.max(last);
+            }
+            track.push(s, ekf.theta(), ekf.theta_variance().max(1e-12));
+            if cfg.rts_smoothing {
+                history.push(RtsStep {
+                    x_pred,
+                    p_pred,
+                    x_filt: gradest_math::Vec2::new(ekf.velocity(), ekf.theta()),
+                    p_filt: ekf.covariance(),
+                    f,
+                });
+            }
+        }
+        if cfg.rts_smoothing {
+            rts_smooth_into(history, &mut track.theta, &mut track.variance);
+        }
+        if rec.enabled() {
+            rec.incr(Counter::EkfPredicts, log.imu.len() as u64);
+            rec.incr(update_counter(source), updates);
+            if let Some(mon) = mon {
+                if updates > 0 {
+                    rec.observe(Histogram::EkfMeanNis, mon.mean_nis());
+                }
+                let verdict = mon.health();
+                rec.incr(track_health_counter(verdict), 1);
+                if verdict == FilterHealth::Diverged {
+                    rec.event(TraceEvent::TrackDiverged { source: trace_source(source) });
+                }
+            }
+        }
     }
 
-    #[test]
-    fn fused_lanes_bit_identical_to_scalar_tracks() {
-        // The fused SoA sweep must reproduce the per-source scalar path
-        // bit for bit: with a map and lane changes, without a map, and
-        // with a subset of sources (partial lane occupancy).
-        let scalar_cfg = EstimatorConfig {
-            force_scalar_tracks: true,
-            parallel_tracks: false,
-            ..Default::default()
-        };
+    /// The per-track counters both track paths record.
+    const TRACK_COUNTERS: [&str; 8] = [
+        "ekf-predicts",
+        "ekf-updates:gps",
+        "ekf-updates:speedometer",
+        "ekf-updates:can-bus",
+        "ekf-updates:accelerometer",
+        "tracks-healthy",
+        "tracks-degraded",
+        "tracks-diverged",
+    ];
+
+    /// Runs the real pipeline, then drives [`scalar_track_into`] one
+    /// source at a time on that run's staged steering profile, α series
+    /// and map-matched arcs, and asserts bit identity of the
+    /// pre-resample tracks, of the resampled and fused estimate, and of
+    /// the track counters. Returns the estimate and the pipeline's
+    /// report.
+    fn assert_lanes_match_scalar_oracle(
+        cfg: EstimatorConfig,
+        log: &SensorLog,
+        map: Option<&Route>,
+    ) -> (GradientEstimate, gradest_obs::RunReport) {
+        let estimator = GradientEstimator::new(cfg);
+        let mut scratch = EstimatorScratch::new();
+        let mut out = GradientEstimate::default();
+        estimator.estimate_into(log, map, &mut scratch, &mut out);
+        let lanes_rec = gradest_obs::RunRecorder::new();
+        let recorded = estimator.estimate_with_recorded(log, map, &mut scratch, &lanes_rec);
+        assert_eq!(out, recorded, "recording must not perturb the estimate");
+
+        let cfg = estimator.config();
+        let oracle_rec = gradest_obs::RunRecorder::new();
+        let oracle: Vec<TrackScratch> = cfg
+            .sources
+            .iter()
+            .map(|&source| {
+                let mut ts = TrackScratch::default();
+                estimator.measurement_series_into(log, source, &mut ts.measurements);
+                scalar_track_into(
+                    cfg,
+                    log,
+                    source,
+                    &scratch.profile,
+                    &scratch.alpha,
+                    log.imu_dt(),
+                    &scratch.matched_s,
+                    &mut ts,
+                    &oracle_rec,
+                );
+                ts
+            })
+            .collect();
+        for (k, (lane, scalar)) in scratch.tracks.iter().zip(&oracle).enumerate() {
+            assert_eq!(lane.track, scalar.track, "pre-resample track {k}");
+        }
+        let mut expected =
+            GradientEstimate { detections: out.detections.clone(), ..Default::default() };
+        resample_and_fuse_into(&oracle, cfg.track_ds, &mut Vec::new(), &mut expected);
+        assert_eq!(out, expected);
+
+        let (lanes, scalar) = (lanes_rec.report(), oracle_rec.report());
+        for counter in TRACK_COUNTERS {
+            assert_eq!(lanes.counter(counter), scalar.counter(counter), "counter {counter}");
+        }
+        (out, lanes)
+    }
+
+    /// A red-road drive with two lane changes, both detected, so the
+    /// Eq-2 correction (nonzero α) runs inside the sweep.
+    fn red_road_with_lane_changes() -> (Route, SensorLog) {
         let route = Route::new(vec![red_road()]).unwrap();
         let trip = TripConfig {
             driver: DriverProfile { lane_change_rate_per_km: 0.5, ..Default::default() },
             ..Default::default()
         };
-        let traj = simulate_trip(&route, &trip, 23);
-        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 23);
-        let fused = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, Some(&route));
-        let scalar = GradientEstimator::new(scalar_cfg.clone()).estimate(&log, Some(&route));
-        assert_eq!(fused, scalar);
+        let traj = simulate_trip(&route, &trip, 38);
+        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 38);
+        (route, log)
+    }
 
-        let fused_no_map = GradientEstimator::new(EstimatorConfig::default()).estimate(&log, None);
-        let scalar_no_map = GradientEstimator::new(scalar_cfg.clone()).estimate(&log, None);
-        assert_eq!(fused_no_map, scalar_no_map);
-
+    #[test]
+    fn fused_lanes_bit_identical_to_scalar_tracks() {
+        // With a map and lane changes, without a map, and with a subset
+        // of sources (partial lane occupancy).
+        let (route, log) = red_road_with_lane_changes();
+        let (est, _) = assert_lanes_match_scalar_oracle(Default::default(), &log, Some(&route));
+        assert!(!est.detections.is_empty(), "the trip should exercise the Eq-2 correction");
+        assert_lanes_match_scalar_oracle(Default::default(), &log, None);
         let sources = vec![VelocitySource::CanBus, VelocitySource::Accelerometer];
-        let fused_sub = GradientEstimator::new(EstimatorConfig {
-            sources: sources.clone(),
-            ..Default::default()
-        })
-        .estimate(&log, Some(&route));
-        let scalar_sub = GradientEstimator::new(EstimatorConfig { sources, ..scalar_cfg })
-            .estimate(&log, Some(&route));
-        assert_eq!(fused_sub, scalar_sub);
+        let cfg = EstimatorConfig { sources, ..Default::default() };
+        assert_lanes_match_scalar_oracle(cfg, &log, Some(&route));
     }
 
     #[test]
@@ -1268,30 +1254,49 @@ mod tests {
         let route = Route::new(vec![straight_road(800.0, 2.0)]).unwrap();
         let traj = simulate_trip(&route, &TripConfig::default(), 5);
         let log = SensorSuite::new(SensorConfig::default()).run(&traj, 5);
-        let reports = [false, true].map(|force_scalar| {
-            let estimator = GradientEstimator::new(EstimatorConfig {
-                force_scalar_tracks: force_scalar,
-                parallel_tracks: false,
-                ..Default::default()
-            });
-            let rec = gradest_obs::RunRecorder::new();
-            let mut scratch = EstimatorScratch::new();
-            estimator.estimate_with_recorded(&log, Some(&route), &mut scratch, &rec);
-            rec.report()
-        });
-        let [fused, scalar] = reports;
-        for counter in [
-            "ekf-predicts",
-            "ekf-updates-gps",
-            "ekf-updates-speedometer",
-            "ekf-updates-can-bus",
-            "ekf-updates-accelerometer",
-            "tracks-healthy",
-            "tracks-degraded",
-            "tracks-diverged",
-        ] {
-            assert_eq!(fused.counter(counter), scalar.counter(counter), "counter {counter}");
+        let (_, lanes) = assert_lanes_match_scalar_oracle(Default::default(), &log, Some(&route));
+        // The equality above is only meaningful if the counters exist.
+        assert_eq!(lanes.counter("ekf-predicts"), Some(4 * log.imu.len() as u64));
+        for counter in &TRACK_COUNTERS[1..5] {
+            assert!(lanes.counter(counter).is_some_and(|n| n > 0), "counter {counter}");
         }
+        let verdicts: u64 = TRACK_COUNTERS[5..].iter().filter_map(|c| lanes.counter(c)).sum();
+        assert_eq!(verdicts, 4, "one health verdict per track");
+    }
+
+    #[test]
+    fn more_sources_than_lanes_run_in_chunks_matching_the_oracle() {
+        let (route, log) = red_road_with_lane_changes();
+        // 5 sources: one full chunk plus a lone lane repeating the
+        // speedometer. 8 sources: two full chunks, each source twice.
+        let five = [VelocitySource::ALL.as_slice(), &[VelocitySource::Speedometer]].concat();
+        let eight = [VelocitySource::ALL, VelocitySource::ALL].concat();
+        for (sources, twins) in
+            [(five, vec![(1, 4)]), (eight, vec![(0, 4), (1, 5), (2, 6), (3, 7)])]
+        {
+            let n = sources.len();
+            let cfg = EstimatorConfig { sources, ..Default::default() };
+            let (est, lanes) = assert_lanes_match_scalar_oracle(cfg, &log, Some(&route));
+            assert_eq!(est.tracks.len(), n);
+            assert_eq!(lanes.counter("ekf-predicts"), Some(n as u64 * log.imu.len() as u64));
+            for (a, b) in twins {
+                assert_eq!(est.tracks[a], est.tracks[b], "{n} sources: tracks {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_sources_gives_no_tracks_and_an_empty_fused_track() {
+        let route = Route::new(vec![straight_road(400.0, 1.0)]).unwrap();
+        let traj = simulate_trip(&route, &TripConfig::default(), 6);
+        let log = SensorSuite::new(SensorConfig::default()).run(&traj, 6);
+        let cfg = EstimatorConfig { sources: vec![], ..Default::default() };
+        let (est, lanes) = assert_lanes_match_scalar_oracle(cfg, &log, Some(&route));
+        assert!(est.tracks.is_empty());
+        assert!(est.fused.is_empty());
+        assert_eq!(est.fused.label, "fused");
+        assert_eq!(est.distance_m, 0.0);
+        assert_eq!(lanes.counter("ekf-predicts"), None);
     }
 
     #[test]

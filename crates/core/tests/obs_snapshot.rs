@@ -31,8 +31,7 @@ fn canonical_snapshot() -> String {
     let traj = simulate_trip(&route, &cfg, 7);
     let log = SensorSuite::new(SensorConfig::default()).run(&traj, 7);
 
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let rec = RunRecorder::new();
     let mut scratch = EstimatorScratch::new();
     let est = estimator.estimate_with_recorded(&log, Some(&route), &mut scratch, &rec);

@@ -33,8 +33,7 @@ fn canonical_trip() -> (TraceSnapshot, RunRecorder) {
     let traj = simulate_trip(&route, &cfg, 7);
     let log = SensorSuite::new(SensorConfig::default()).run(&traj, 7);
 
-    let estimator =
-        GradientEstimator::new(EstimatorConfig { parallel_tracks: false, ..Default::default() });
+    let estimator = GradientEstimator::new(EstimatorConfig::default());
     let run = RunRecorder::new();
     let ring = TraceRing::with_capacity(1024);
     let rec = Tee::new(&run, &ring);

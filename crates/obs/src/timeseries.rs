@@ -37,7 +37,7 @@ use std::time::Instant;
 /// whole sketch stays two pages of `u32` counts.
 const SUB_PER_OCTAVE: i64 = 4;
 
-/// Buckets per signed store. With [`SUB_PER_OCTAVE`] = 4 this covers 64
+/// Buckets per signed store. With `SUB_PER_OCTAVE` = 4 this covers 64
 /// octaves of magnitude.
 pub const SKETCH_BUCKETS: usize = 256;
 

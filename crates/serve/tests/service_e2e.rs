@@ -73,7 +73,10 @@ fn reference_tile_payload(
     grid_ds: f64,
 ) -> Vec<u8> {
     let cloud = CloudAggregator::new(grid_ds);
-    let engine = FleetEngine::new(GradientEstimator::new(config.clone()), 2);
+    // One worker: the server applies uploads in arrival order (the
+    // client waits for each ACK), and a multi-worker engine would sum
+    // same-road cells in completion order, equal only up to rounding.
+    let engine = FleetEngine::new(GradientEstimator::new(config.clone()), 1);
     let _ = engine.process_batch_to_cloud_recorded(logs, road_ids, None, &cloud, &NoopRecorder);
     let index = NetworkIndex::build(net);
     let mut edges = Vec::new();

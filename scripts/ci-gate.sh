@@ -26,19 +26,23 @@
 #                                        lanes: the featureless steps
 #                                        above cover the scalar fallback;
 #                                        this one tests the SSE2 twins
+#   5. rustdoc -D warnings             — docs of every gradest* package
+#                                        (vendored shims/ excluded): a
+#                                        dangling or private intra-doc
+#                                        link fails the gate
 #
 # Default path adds:
-#   5. gradest-lint self-test          — --inject-violation seeds a virtual
+#   6. gradest-lint self-test          — --inject-violation seeds a virtual
 #                                        cross-module warm-path allocation and
 #                                        hot-path panic; the gate must catch
 #                                        both with full call chains or this
 #                                        step fails (proves the taint pass is
 #                                        actually wired in, not a no-op)
-#   6. gradest-lint baseline           — re-runs the analyzer diffing against
+#   7. gradest-lint baseline           — re-runs the analyzer diffing against
 #                                        the report from step 3; a clean tree
 #                                        must produce zero NEW findings
 #                                        (round-trips the JSON report schema)
-#   7. pipeline_hotpath_smoke          — zero warm-path allocations (plain AND
+#   8. pipeline_hotpath_smoke          — zero warm-path allocations (plain AND
 #                                        recorded), fast-vs-generic LOWESS
 #                                        agreement, recorder bit-identity,
 #                                        call-graph-derived warm-path module
@@ -48,25 +52,25 @@
 #                                        FleetEngine whose allocations per
 #                                        trip do not grow with trip length
 #                                        (scratch kept warm across calls)
-#   8. geo index property tests        — packed R-tree nearest/bbox queries
+#   9. geo index property tests        — packed R-tree nearest/bbox queries
 #                                        pinned against brute-force oracles
 #                                        on randomized segment sets
-#   9. geo_index_smoke                 — country-scale (≥1e5-segment) network:
+#  10. geo_index_smoke                 — country-scale (≥1e5-segment) network:
 #                                        indexed nearest must match the oracle
 #                                        exactly, beat it ≥10x, and allocate
 #                                        nothing per warm query
-#  10. serve protocol robustness       — wire-codec property tests: truncated /
+#  11. serve protocol robustness       — wire-codec property tests: truncated /
 #                                        oversized / garbage-tagged /
 #                                        length-lying frames must produce typed
 #                                        errors, never panic, never allocate
 #                                        past the frame cap
-#  11. gradbench unit tests           — the repository benchmark's own tests
+#  12. gradbench unit tests           — the repository benchmark's own tests
 #                                        (percentile rule, due-time
 #                                        accounting, span self time, fail
 #                                        counting); gradbench is a separate
 #                                        package, so the workspace test run
 #                                        does not reach them
-#  12. service_soak_smoke              — gradest-serve on an ephemeral loopback
+#  13. service_soak_smoke              — gradest-serve on an ephemeral loopback
 #                                        port under 64 simulated phones: ≥500
 #                                        trips/s sustained, tiles bit-identical
 #                                        to direct aggregation, typed BUSY
@@ -163,6 +167,10 @@ run_step "gradest-lint" \
 # fallback (the default build); this step compiles and tests the
 # intrinsics half so neither cfg path can rot unnoticed.
 run_step "gradest-core (--features simd)" cargo test -q -p gradest-core --features simd
+# Rustdoc over the gradest* packages only (`-p` takes a glob; the
+# vendored shims/ are not ours to lint). Denying warnings turns a doc
+# link to a deleted or private item into a failure.
+run_step "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p 'gradest*'
 
 # --- default steps -----------------------------------------------------------
 if [[ "$MODE" != quick ]]; then
