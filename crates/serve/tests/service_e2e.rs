@@ -180,6 +180,33 @@ fn status_frame_serves_live_slo_and_drift_state() {
         other => panic!("unexpected status reply: {other:?}"),
     };
     let v: serde_json::Value = serde_json::from_str(&text).expect("status is valid JSON");
+    let keys = |v: &serde_json::Value| -> Vec<String> {
+        v.as_object().expect("object").iter().map(|(k, _)| k.clone()).collect()
+    };
+    assert_eq!(
+        keys(&v),
+        [
+            "uptime_seconds",
+            "window_seconds",
+            "windows",
+            "dropped_events",
+            "state",
+            "drifting",
+            "slos",
+            "quality",
+            "frame"
+        ]
+    );
+    for slo in v["slos"].as_array().expect("slos array") {
+        assert_eq!(
+            keys(slo),
+            ["name", "state", "target", "error_short", "error_long", "burn_short", "burn_long"]
+        );
+    }
+    for sig in v["quality"].as_array().expect("quality array") {
+        assert_eq!(keys(sig), ["signal", "drifting", "value", "ewma", "excursion", "windows"]);
+    }
+    assert_eq!(keys(&v["frame"]), ["count", "rate_per_sec", "p50_ns", "p90_ns", "p99_ns"]);
     assert_eq!(v["state"], serde_json::Value::String("healthy".into()), "idle fleet: {text}");
     assert_eq!(v["drifting"], serde_json::Value::Bool(false));
     let slos = v["slos"].as_array().expect("slos array");
