@@ -250,39 +250,23 @@ impl GradientEstimator {
     /// steering profile; pass `None` on unmapped roads (lane-change
     /// detection then relies entirely on the Eq-1 displacement test).
     ///
-    /// Allocating convenience over [`Self::estimate_with`] — it builds a
-    /// fresh [`EstimatorScratch`] per call. Batch callers should hold one
-    /// scratch per worker instead.
+    /// Allocating convenience over [`Self::estimate_into`] — it builds a
+    /// fresh [`EstimatorScratch`] and estimate per call. Batch callers
+    /// should hold one scratch per worker instead.
     ///
     /// # Panics
     ///
     /// Panics if the log carries fewer than two IMU samples.
     pub fn estimate(&self, log: &SensorLog, map: Option<&Route>) -> GradientEstimate {
-        let mut scratch = EstimatorScratch::new();
-        self.estimate_with(log, map, &mut scratch)
-    }
-
-    /// [`Self::estimate`] with caller-owned working memory: all pipeline
-    /// intermediates live in `scratch`, so repeated calls on a warm
-    /// scratch allocate only for the returned estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log carries fewer than two IMU samples.
-    pub fn estimate_with(
-        &self,
-        log: &SensorLog,
-        map: Option<&Route>,
-        scratch: &mut EstimatorScratch,
-    ) -> GradientEstimate {
         let mut out = GradientEstimate::default();
-        self.estimate_into(log, map, scratch, &mut out);
+        self.estimate_into(log, map, &mut EstimatorScratch::new(), &mut out);
         out
     }
 
-    /// [`Self::estimate_with`] reporting to an observability
-    /// [`Recorder`]: stage and per-track spans, EKF innovation and
-    /// fusion-weight statistics, lane-change decision counters.
+    /// [`Self::estimate`] with caller-owned working memory, reporting
+    /// to an observability [`Recorder`]: stage and per-track spans, EKF
+    /// innovation and fusion-weight statistics, lane-change decision
+    /// counters.
     ///
     /// # Panics
     ///
@@ -1307,8 +1291,10 @@ mod tests {
         let estimator = GradientEstimator::new(EstimatorConfig::default());
         let cold = estimator.estimate(&log, Some(&route));
         let mut scratch = EstimatorScratch::new();
-        let first = estimator.estimate_with(&log, Some(&route), &mut scratch);
-        let warm = estimator.estimate_with(&log, Some(&route), &mut scratch);
+        let mut first = GradientEstimate::default();
+        estimator.estimate_into(&log, Some(&route), &mut scratch, &mut first);
+        let mut warm = GradientEstimate::default();
+        estimator.estimate_into(&log, Some(&route), &mut scratch, &mut warm);
         assert_eq!(cold, first);
         assert_eq!(cold, warm);
         assert!(scratch.stages().total() > 0);

@@ -3,12 +3,13 @@
 //! The paper's deployment story is crowdsourced: many phones estimate
 //! gradients on the roads they drive and a cloud service fuses the
 //! uploads into one gradient map (PAPER.md; DESIGN.md §14). This crate
-//! is that service, kept dependency-free on purpose: a hand-rolled
-//! length-prefixed binary protocol over `std::net::TcpListener`, a
-//! bounded accept queue feeding a small worker pool, and the same
-//! warm-path discipline as the in-process fleet engine — each worker
-//! decodes into reused scratch, runs `estimate_into` with zero warm
-//! allocations, and fuses into a shared [`CloudAggregator`].
+//! is that service, built on std and the vendored shims only: a
+//! hand-rolled length-prefixed binary protocol over
+//! `std::net::TcpListener`, a bounded accept queue feeding a small
+//! worker pool, and the same warm-path discipline as the in-process
+//! fleet engine — each worker decodes into reused scratch, runs
+//! `estimate_into` with zero warm allocations, and fuses into a shared
+//! [`CloudAggregator`].
 //!
 //! Four pieces:
 //!

@@ -63,6 +63,7 @@ use gradest_obs::{
     saturating_ns, Counter, Histogram, QualityConfig, QualityMonitors, Recorder, SloTable, Span,
     SpanTimer, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
 };
+use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::io::Read;
 use std::io::Write as _;
@@ -310,86 +311,65 @@ impl<R: Recorder + Send + Sync> Shared<R> {
         let now = self.rec.ts.now_ns();
         let series = self.rec.ts.series();
         let windows = series.config().windows;
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"uptime_seconds\":");
-        push_json_f64(&mut out, self.started.elapsed().as_secs_f64());
-        let _ = write!(out, ",\"window_seconds\":");
-        push_json_f64(&mut out, series.window_secs());
-        let _ = write!(out, ",\"windows\":{windows}");
-        let _ = write!(out, ",\"dropped_events\":{}", self.rec.dropped_events());
-        let worst = self.slo.worst_state(series, now);
-        let _ = write!(out, ",\"state\":\"{}\"", worst.name());
         let (drifting, quality) = match self.quality.lock() {
             Ok(q) => (q.any_drifting(), Some(q.report())),
             Err(_) => (false, None),
         };
-        let _ = write!(out, ",\"drifting\":{drifting}");
-        out.push_str(",\"slos\":[");
-        for (i, slo) in self.slo.evaluate(series, now).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"state\":\"{}\"", slo.name, slo.state.name());
-            let _ = write!(out, ",\"target\":");
-            push_json_f64(&mut out, slo.target);
-            let _ = write!(out, ",\"error_short\":");
-            push_json_f64(&mut out, slo.error_short);
-            let _ = write!(out, ",\"error_long\":");
-            push_json_f64(&mut out, slo.error_long);
-            let _ = write!(out, ",\"burn_short\":");
-            push_json_f64(&mut out, slo.burn_short);
-            let _ = write!(out, ",\"burn_long\":");
-            push_json_f64(&mut out, slo.burn_long);
-            out.push('}');
-        }
-        out.push_str("],\"quality\":[");
-        if let Some(report) = quality {
-            for (i, sig) in report.signals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"signal\":\"{}\"", sig.signal.name());
-                let _ = write!(out, ",\"drifting\":{}", sig.drifting);
-                let _ = write!(out, ",\"value\":");
-                push_json_f64(&mut out, sig.value);
-                let _ = write!(out, ",\"ewma\":");
-                push_json_f64(&mut out, sig.ewma);
-                let _ = write!(out, ",\"excursion\":");
-                push_json_f64(&mut out, sig.excursion);
-                let _ = write!(out, ",\"windows\":{}", sig.windows);
-                out.push('}');
-            }
-        }
-        out.push_str("],\"frame\":{");
-        let _ = write!(out, "\"count\":{}", series.span_count(Span::ServiceFrame, windows, now));
-        let _ = write!(out, ",\"rate_per_sec\":");
-        push_json_f64(&mut out, series.rate(Counter::ServiceFramesOk, windows, now));
-        for (key, q) in [("p50_ns", 0.5), ("p90_ns", 0.9), ("p99_ns", 0.99)] {
-            let _ = write!(out, ",\"{key}\":");
-            match series.span_quantile(Span::ServiceFrame, q, windows, now) {
-                Some(v) => push_json_f64(&mut out, v),
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("}}");
-        out
+        let slos: Vec<Value> = self
+            .slo
+            .evaluate(series, now)
+            .iter()
+            .map(|slo| {
+                json!({
+                    "name": slo.name,
+                    "state": slo.state.name(),
+                    "target": slo.target,
+                    "error_short": slo.error_short,
+                    "error_long": slo.error_long,
+                    "burn_short": slo.burn_short,
+                    "burn_long": slo.burn_long,
+                })
+            })
+            .collect();
+        let signals: Vec<Value> = quality
+            .iter()
+            .flat_map(|report| &report.signals)
+            .map(|sig| {
+                json!({
+                    "signal": sig.signal.name(),
+                    "drifting": sig.drifting,
+                    "value": sig.value,
+                    "ewma": sig.ewma,
+                    "excursion": sig.excursion,
+                    "windows": sig.windows,
+                })
+            })
+            .collect();
+        let quantile = |q| series.span_quantile(Span::ServiceFrame, q, windows, now);
+        json!({
+            "uptime_seconds": self.started.elapsed().as_secs_f64(),
+            "window_seconds": series.window_secs(),
+            "windows": windows,
+            "dropped_events": self.rec.dropped_events(),
+            "state": self.slo.worst_state(series, now).name(),
+            "drifting": drifting,
+            "slos": slos,
+            "quality": signals,
+            "frame": {
+                "count": series.span_count(Span::ServiceFrame, windows, now),
+                "rate_per_sec": series.rate(Counter::ServiceFramesOk, windows, now),
+                "p50_ns": quantile(0.5),
+                "p90_ns": quantile(0.9),
+                "p99_ns": quantile(0.99),
+            },
+        })
+        .to_string()
     }
 }
 
 /// Milliseconds since the Unix epoch (0 if the clock is before it).
 fn epoch_millis() -> u128 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis()).unwrap_or(0)
-}
-
-/// Writes `v` as a JSON number, mapping non-finite values to `null`
-/// (JSON has no NaN/Inf).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// A running ingestion server; dropping the handle *without* calling
@@ -476,17 +456,6 @@ impl<R: Recorder + Send + Sync + 'static> ServerHandle<R> {
     /// Current operational counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
-    }
-
-    /// The live Prometheus exposition (same text the METRICS frame
-    /// serves).
-    pub fn prometheus(&self) -> String {
-        self.shared.prometheus()
-    }
-
-    /// The live status snapshot (same JSON the STATUS frame serves).
-    pub fn status_json(&self) -> String {
-        self.shared.status_json()
     }
 
     /// The live time-series ring (for in-process oracles: pass

@@ -39,8 +39,8 @@
 #                                        step fails (proves the taint pass is
 #                                        actually wired in, not a no-op)
 #   7. gradest-lint baseline           — re-runs the analyzer diffing against
-#                                        the report from step 3; a clean tree
-#                                        must produce zero NEW findings
+#                                        the report from step 3; must print
+#                                        "0 new, N unchanged, 0 fixed"
 #                                        (round-trips the JSON report schema)
 #   8. pipeline_hotpath_smoke          — zero warm-path allocations (plain AND
 #                                        recorded), fast-vs-generic LOWESS
@@ -173,6 +173,15 @@ run_step "gradest-core (--features simd)" cargo test -q -p gradest-core --featur
 run_step "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p 'gradest*'
 
 # --- default steps -----------------------------------------------------------
+lint_baseline_round_trip() {
+  local out
+  out=$(cargo run --release -q -p gradest-lint -- --baseline target/lint/LINT_REPORT.json)
+  local status=$?
+  printf '%s\n' "$out"
+  [[ $status -eq 0 ]] \
+    && grep -Eq '^gradest-lint: baseline diff: 0 new, [0-9]+ unchanged, 0 fixed$' <<<"$out"
+}
+
 if [[ "$MODE" != quick ]]; then
   # Linter self-test: seed a virtual cross-module warm-path allocation
   # and a hot-path panic two hops deep, then require the transitive
@@ -182,11 +191,13 @@ if [[ "$MODE" != quick ]]; then
     cargo run --release -q -p gradest-lint -- --inject-violation
 
   # Baseline round-trip: diff a fresh run against the report step 3
-  # just wrote. On a clean tree this must report zero NEW findings —
-  # exercising the JSON parse/serialize cycle and fingerprint
-  # stability that downstream baseline-diff users rely on.
-  run_step "gradest-lint --baseline round-trip" \
-    cargo run --release -q -p gradest-lint -- --baseline target/lint/LINT_REPORT.json
+  # just wrote. Every finding must come back unchanged — zero new,
+  # zero fixed — which exercises the JSON parse/serialize cycle and
+  # fingerprint stability that downstream baseline-diff users rely on.
+  # Checking the printed diff line (not just the exit status, which
+  # only counts new errors) also fails when the baseline reads back
+  # short or empty.
+  run_step "gradest-lint --baseline round-trip" lint_baseline_round_trip
 
   # Hot-path smoke: one trip through the pipeline benchmark; the binary
   # asserts zero warm-path allocations (with and without a live
