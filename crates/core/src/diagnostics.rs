@@ -65,6 +65,10 @@ impl Default for MonitorConfig {
 pub struct InnovationMonitor {
     config: MonitorConfig,
     nis: VecDeque<f64>,
+    /// Mean NIS of the last full window, as `record` computed it, so
+    /// `health` does not sum the window again. `None` until the window
+    /// first fills and after `reset`.
+    window_mean: Option<f64>,
     hot_windows: usize,
     diverged_latched: bool,
     updates: u64,
@@ -85,6 +89,7 @@ impl InnovationMonitor {
         InnovationMonitor {
             config,
             nis: VecDeque::new(),
+            window_mean: None,
             hot_windows: 0,
             diverged_latched: false,
             updates: 0,
@@ -107,6 +112,7 @@ impl InnovationMonitor {
         }
         if self.nis.len() == self.config.window {
             let mean = self.mean_nis();
+            self.window_mean = Some(mean);
             if mean > self.config.diverged_nis {
                 self.hot_windows += 1;
                 if self.hot_windows >= self.config.diverge_patience * self.config.window {
@@ -136,20 +142,17 @@ impl InnovationMonitor {
         if self.diverged_latched {
             return FilterHealth::Diverged;
         }
-        if self.nis.len() < self.config.window {
-            return FilterHealth::Healthy; // not enough evidence yet
-        }
-        let mean = self.mean_nis();
-        if mean > self.config.inconsistent_nis {
-            FilterHealth::Inconsistent
-        } else {
-            FilterHealth::Healthy
+        match self.window_mean {
+            Some(mean) if mean > self.config.inconsistent_nis => FilterHealth::Inconsistent,
+            // Healthy, or not enough evidence yet.
+            _ => FilterHealth::Healthy,
         }
     }
 
     /// Clears all state (e.g. after re-initializing the filter).
     pub fn reset(&mut self) {
         self.nis.clear();
+        self.window_mean = None;
         self.hot_windows = 0;
         self.diverged_latched = false;
     }
@@ -256,6 +259,56 @@ mod tests {
         // the monitor must flag it while it lasts (the EKF then swallows
         // the step, so the flag is transient unless divergence latched).
         assert_ne!(worst, FilterHealth::Healthy);
+    }
+
+    /// Reference verdict that re-sums the NIS window on every call.
+    fn uncached_health(m: &InnovationMonitor) -> FilterHealth {
+        if m.diverged_latched {
+            FilterHealth::Diverged
+        } else if m.nis.len() < m.config.window {
+            FilterHealth::Healthy
+        } else if m.mean_nis() > m.config.inconsistent_nis {
+            FilterHealth::Inconsistent
+        } else {
+            FilterHealth::Healthy
+        }
+    }
+
+    #[test]
+    fn cached_window_mean_matches_resumming_bit_for_bit() {
+        let mut m = mon();
+        // xorshift64: a fixed pseudo-random innovation stream whose scale
+        // wanders between calm, hot and wild stretches.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut seen = [false; 3];
+        for i in 0..20_000 {
+            if i % 2_500 == 1_700 {
+                m.reset();
+            }
+            let scale = [0.1, 0.35, 1.5][(i / 400) % 3];
+            let innovation = (next() - 0.5) * 2.0 * scale;
+            let s = 0.01 + 0.05 * next();
+            m.record(innovation, s);
+            let full = m.nis.len() == m.config.window;
+            assert_eq!(
+                m.window_mean.map(f64::to_bits),
+                full.then(|| m.mean_nis().to_bits()),
+                "update {i}"
+            );
+            let health = m.health();
+            assert_eq!(health, uncached_health(&m), "update {i}");
+            seen[health as usize] = true;
+        }
+        assert_eq!(seen, [true; 3], "the stream must reach every verdict");
+        m.reset();
+        assert_eq!(m.window_mean, None);
+        assert_eq!(m.health(), uncached_health(&m));
     }
 
     #[test]

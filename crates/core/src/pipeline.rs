@@ -580,6 +580,9 @@ impl GradientEstimator {
         // a per-lane cursor instead of binary-searching per measurement.
         let mut a_idx = [0usize; MAX_LANES];
         let mut updates = [0u64; MAX_LANES];
+        // Each lane's last monitor verdict (a reset monitor is healthy),
+        // so an update asks the monitor once instead of before and after.
+        let mut verdicts = [FilterHealth::Healthy; MAX_LANES];
         let mut gps_idx = 0usize;
         for i in 0..n_imu {
             let ti = imu_cols.t[i];
@@ -618,11 +621,11 @@ impl GradientEstimator {
                         let innovation = corrected - ekf.velocity(l);
                         rec.observe(Histogram::EkfInnovation, innovation);
                         if let Some(mon) = ts.monitor.as_mut() {
-                            let before = mon.health();
                             mon.record(innovation, ekf.innovation_variance(l, rs[l]));
                             let after = mon.health();
-                            if after != before {
-                                record_health_transition(rec, sources[l], before, after);
+                            if after != verdicts[l] {
+                                record_health_transition(rec, sources[l], verdicts[l], after);
+                                verdicts[l] = after;
                             }
                         }
                     }

@@ -69,7 +69,9 @@ pub use quality::{QualityConfig, QualityMonitors, QualityReport, SignalReport};
 pub use recorder::{saturating_ns, NoopRecorder, Recorder, SpanTimer};
 pub use run::{CounterReport, HistogramReport, RunRecorder, RunReport, SpanReport};
 pub use slo::{SloKind, SloReport, SloSpec, SloState, SloTable};
-pub use timeseries::{TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, SKETCH_RELATIVE_ERROR};
+pub use timeseries::{
+    TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, WindowTally, SKETCH_RELATIVE_ERROR,
+};
 pub use trace::{
     QualitySignal, Tee, TraceEvent, TraceHealth, TraceRecord, TraceRing, TraceSnapshot, TraceSource,
 };

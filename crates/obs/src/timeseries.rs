@@ -21,7 +21,9 @@
 //! window memory is allocated once at construction, recording mutates
 //! fixed slots under one mutex, and rotation resets slots in place —
 //! zero allocations after warm-up, which the service soak's alloc probe
-//! asserts with a live [`TimeSeriesRecorder`] attached. Core methods
+//! asserts with a live ring attached. A busy writer need not take the
+//! mutex per record: it fills a private [`WindowTally`] and adds it to
+//! the ring with one [`TimeSeries::merge_at`]. Core methods
 //! are keyed by explicit nanosecond timestamps (`*_at`), so rotation
 //! and boundary behaviour are deterministic under test; the
 //! [`TimeSeriesRecorder`] wrapper supplies wall-clock timestamps from
@@ -64,7 +66,10 @@ pub const SKETCH_RELATIVE_ERROR: f64 = 0.090507732665258; // 2^(1/8) - 1, rounde
 
 /// Bucket index for a positive, in-range magnitude.
 fn sketch_bucket(mag: f64) -> usize {
-    let idx = (mag.log2() * SUB_PER_OCTAVE as f64).floor() as i64 - MIN_OCTAVE * SUB_PER_OCTAVE;
+    // Saturating: an infinite magnitude casts to `i64::MAX` and must
+    // clamp into the top bucket, not wrap to the bottom one.
+    let idx = ((mag.log2() * SUB_PER_OCTAVE as f64).floor() as i64)
+        .saturating_sub(MIN_OCTAVE * SUB_PER_OCTAVE);
     idx.clamp(0, SKETCH_BUCKETS as i64 - 1) as usize
 }
 
@@ -124,39 +129,135 @@ impl SketchCell {
         let store = if value < 0.0 { &mut self.neg } else { &mut self.pos };
         store[b] = store[b].saturating_add(1);
     }
+
+    /// Adds another cell's observations: counts and buckets exactly
+    /// (buckets saturate as `observe` does), the sum up to rounding.
+    fn add(&mut self, other: &SketchCell) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.zero += other.zero;
+        for (acc, n) in self.neg.iter_mut().zip(other.neg.iter()) {
+            *acc = acc.saturating_add(*n);
+        }
+        for (acc, n) in self.pos.iter_mut().zip(other.pos.iter()) {
+            *acc = acc.saturating_add(*n);
+        }
+    }
 }
 
-/// One window's worth of telemetry: its absolute index plus fixed
-/// slots for every counter, span-duration sketch, and histogram sketch.
+/// The record slots of one window: every counter, span-duration
+/// sketch, and histogram sketch.
 #[derive(Debug)]
-struct Window {
-    /// Absolute window number (`t_ns / window_ns`); `u64::MAX` marks a
-    /// slot that has never held data.
-    index: u64,
+struct Cells {
     counters: [u64; Counter::COUNT],
     spans: [SketchCell; Span::COUNT],
     hists: [SketchCell; Histogram::COUNT],
 }
 
-impl Window {
+impl Cells {
     fn new() -> Self {
-        Window {
-            index: u64::MAX,
+        Cells {
             counters: [0; Counter::COUNT],
             spans: std::array::from_fn(|_| SketchCell::new()),
             hists: std::array::from_fn(|_| SketchCell::new()),
         }
     }
 
+    /// Zeroes every slot. Sketch cells that saw no observation are
+    /// already zero (`observe` always bumps `count`), so only touched
+    /// cells are rewritten.
+    fn reset(&mut self) {
+        self.counters = [0; Counter::COUNT];
+        for c in self.spans.iter_mut().chain(self.hists.iter_mut()) {
+            if c.count != 0 {
+                c.reset();
+            }
+        }
+    }
+
+    /// Adds every slot of `other` into `self`.
+    fn add(&mut self, other: &Cells) {
+        for (acc, n) in self.counters.iter_mut().zip(other.counters.iter()) {
+            *acc += *n;
+        }
+        let mine = self.spans.iter_mut().chain(self.hists.iter_mut());
+        for (acc, c) in mine.zip(other.spans.iter().chain(other.hists.iter())) {
+            if c.count != 0 {
+                acc.add(c);
+            }
+        }
+    }
+}
+
+/// One window's worth of telemetry: its absolute index plus its
+/// record slots.
+#[derive(Debug)]
+struct Window {
+    /// Absolute window number (`t_ns / window_ns`); `u64::MAX` marks a
+    /// slot that has never held data.
+    index: u64,
+    cells: Cells,
+}
+
+impl Window {
+    fn new() -> Self {
+        Window { index: u64::MAX, cells: Cells::new() }
+    }
+
     fn reset(&mut self, index: u64) {
         self.index = index;
-        self.counters = [0; Counter::COUNT];
-        for c in &mut self.spans {
-            c.reset();
-        }
-        for c in &mut self.hists {
-            c.reset();
-        }
+        self.cells.reset();
+    }
+}
+
+/// A private tally laid out like one ring window, for a caller that
+/// batches its records: it fills the tally with no clock read and no
+/// shared lock, then hands the whole tally to
+/// [`TimeSeries::merge_at`] in one lock acquisition. Each service
+/// worker keeps one and merges it per frame. All memory
+/// is allocated by [`WindowTally::new`]; recording and
+/// [`WindowTally::clear`] never allocate.
+#[derive(Debug)]
+pub struct WindowTally {
+    cells: Box<Cells>,
+    /// Records tallied since the last clear.
+    records: u64,
+}
+
+impl WindowTally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        WindowTally { cells: Box::new(Cells::new()), records: 0 }
+    }
+
+    /// Adds `by` to `counter`.
+    pub fn incr(&mut self, counter: Counter, by: u64) {
+        self.cells.counters[counter as usize] += by;
+        self.records += 1;
+    }
+
+    /// Tallies one span duration.
+    pub fn span(&mut self, span: Span, ns: u64) {
+        self.cells.spans[span as usize].observe(ns as f64);
+        self.records += 1;
+    }
+
+    /// Tallies one histogram observation.
+    pub fn observe(&mut self, hist: Histogram, value: f64) {
+        self.cells.hists[hist as usize].observe(value);
+        self.records += 1;
+    }
+
+    /// Empties the tally in place.
+    pub fn clear(&mut self) {
+        self.cells.reset();
+        self.records = 0;
+    }
+}
+
+impl Default for WindowTally {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -184,8 +285,8 @@ struct RingState {
     /// Slot `i` holds absolute window `w` iff `w % slots.len() == i`
     /// and `w` is within the live suffix ending at `cur`.
     slots: Vec<Window>,
-    /// Records that arrived too late for their window (older than the
-    /// ring covers) and were discarded.
+    /// Records (or merged tallies) that arrived too late for their
+    /// window (older than the ring covers) and were discarded.
     late_drops: u64,
 }
 
@@ -196,10 +297,10 @@ struct RingState {
 #[derive(Debug)]
 pub struct TimeSeries {
     cfg: TimeSeriesConfig,
-    // sync: one mutex guards the whole ring — rotation must atomically
-    // reset a slot and move the cursor. Contention is bounded by the
-    // service worker count (single digits); a poisoned ring is
-    // skipped, never unwrapped, matching RunRecorder's cells.
+    // sync: one mutex guards the ring (rotation resets a slot and moves
+    // the cursor together). Serve workers take it a few times per frame
+    // via `merge_at`, not per record (~3.6k per 1 km upload frame); a
+    // poisoned ring is skipped, never unwrapped, as in RunRecorder.
     state: Mutex<RingState>,
 }
 
@@ -231,7 +332,7 @@ impl TimeSeries {
     }
 
     /// Records dropped because they arrived after their window left
-    /// the ring.
+    /// the ring (a late [`WindowTally`] counts once).
     pub fn late_drops(&self) -> u64 {
         match self.state.lock() {
             Ok(st) => st.late_drops,
@@ -254,7 +355,7 @@ impl TimeSeries {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
             if let Some(slot) = live_slot(&mut st, w) {
-                slot.counters[counter as usize] += by;
+                slot.cells.counters[counter as usize] += by;
             }
         }
     }
@@ -264,7 +365,7 @@ impl TimeSeries {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
             if let Some(slot) = live_slot(&mut st, w) {
-                slot.spans[span as usize].observe(ns as f64);
+                slot.cells.spans[span as usize].observe(ns as f64);
             }
         }
     }
@@ -275,7 +376,25 @@ impl TimeSeries {
         let w = self.window_index(t_ns);
         if let Ok(mut st) = self.state.lock() {
             if let Some(slot) = live_slot(&mut st, w) {
-                slot.hists[hist as usize].observe(value);
+                slot.cells.hists[hist as usize].observe(value);
+            }
+        }
+    }
+
+    /// Adds a whole [`WindowTally`] into the window containing `t_ns`
+    /// under one lock acquisition: the same window as recording each
+    /// of its records at `t_ns`, with counts and buckets exact and
+    /// sketch sums equal up to rounding. A tally whose window already
+    /// left the ring is discarded and counts as one late drop; an
+    /// empty tally takes no lock.
+    pub fn merge_at(&self, t_ns: u64, tally: &WindowTally) {
+        if tally.records == 0 {
+            return;
+        }
+        let w = self.window_index(t_ns);
+        if let Ok(mut st) = self.state.lock() {
+            if let Some(slot) = live_slot(&mut st, w) {
+                slot.cells.add(&tally.cells);
             }
         }
     }
@@ -386,7 +505,7 @@ impl TimeSeries {
 
     /// Runs `f` over every live window in the `lookback`-window suffix
     /// ending at `now_ns`'s window.
-    fn fold_windows<F: FnMut(&Window)>(&self, lookback: usize, now_ns: u64, mut f: F) {
+    fn fold_windows<F: FnMut(&Cells)>(&self, lookback: usize, now_ns: u64, mut f: F) {
         let end = self.window_index(now_ns);
         let lookback = lookback.max(1) as u64;
         let start = end.saturating_sub(lookback - 1);
@@ -400,7 +519,7 @@ impl TimeSeries {
             // slot may have been recycled for a newer window.
             let slot = &st.slots[(w % len) as usize];
             if slot.index == w {
-                f(slot);
+                f(&slot.cells);
             }
         }
     }

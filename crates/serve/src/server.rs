@@ -24,15 +24,19 @@
 //!
 //! Next to the caller-supplied recorder, every server carries a
 //! [`TimeSeriesRecorder`] (DESIGN.md §15): each span, counter, and
-//! histogram a worker records also lands in a windowed ring, and each
-//! handled frame ticks the ring plus the [`QualityMonitors`] drift
-//! detectors. The `STATUS` frame serves a JSON snapshot of the
+//! histogram a worker records also lands in a windowed ring. A worker
+//! tallies a frame's records privately and merges the tally into the
+//! ring at the frame's end (an upload also merges once after its
+//! estimate), so records count in the window in which they are merged,
+//! and a frame takes the ring lock a few times, not once per record.
+//! Each handled frame then ticks the ring plus the [`QualityMonitors`]
+//! drift detectors. The `STATUS` frame serves a JSON snapshot of the
 //! resulting live state — per-SLO burn rates and escalation
 //! ([`SloTable`]), per-signal drift flags, window quantiles of the
 //! frame path, dropped-record counts, and uptime — without touching
 //! the cumulative `RunRecorder` report. The time-series record path is
-//! allocation-free (fixed ring slots), so attaching it does not relax
-//! the warm-frame 0-alloc gate.
+//! allocation-free (fixed ring slots, a per-worker tally), so attaching
+//! it does not relax the warm-frame 0-alloc gate.
 //!
 //! # Shutdown
 //!
@@ -61,7 +65,7 @@ use gradest_geo::tile::{decode_tile_bounds, edges_in_tile_into};
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork};
 use gradest_obs::{
     saturating_ns, Counter, Histogram, QualityConfig, QualityMonitors, Recorder, SloTable, Span,
-    SpanTimer, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent,
+    SpanTimer, TimeSeries, TimeSeriesConfig, TimeSeriesRecorder, TraceEvent, WindowTally,
 };
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -75,7 +79,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// Optional allocation probe for the warm-path discipline measurement.
 /// Library crates here forbid `unsafe`, so the counting allocator lives
 /// in the bench binaries; they install its reading function and the
-/// workers diff it around each frame's decode → estimate window.
+/// workers diff it around each upload's decode → estimate → telemetry
+/// merge window.
 static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 
 /// Installs the allocation-count probe (first caller wins). The probe
@@ -145,9 +150,9 @@ pub struct ServerStats {
     pub status_queries: u64,
     /// Uploads acknowledged (fused into the cloud aggregator).
     pub uploads_acked: u64,
-    /// Worst-case allocations in one warm frame's decode → estimate
-    /// window, when a probe is installed and at least one warm frame
-    /// was measured ([`install_alloc_probe`]).
+    /// Worst-case allocations in one warm frame's decode → estimate →
+    /// telemetry merge window, when a probe is installed and at least
+    /// one warm frame was measured ([`install_alloc_probe`]).
     pub max_warm_frame_allocs: Option<u64>,
 }
 
@@ -180,7 +185,9 @@ struct Stats {
 /// The server's composite sink: fans every record out to the
 /// caller-supplied recorder *and* the live time-series ring. Always
 /// enabled — the ring powers the `STATUS` frame regardless of whether
-/// the caller wants cumulative metrics.
+/// the caller wants cumulative metrics. Records made outside a frame
+/// (index build, accepts, drift alerts) go through it straight to the
+/// ring; a worker's frame records go through its [`FrameRecorder`].
 struct ServiceRecorder<R> {
     inner: Arc<R>,
     ts: TimeSeriesRecorder,
@@ -208,6 +215,67 @@ impl<R: Recorder + Send + Sync> Recorder for ServiceRecorder<R> {
 
     fn dropped_events(&self) -> u64 {
         self.inner.dropped_events() + self.ts.dropped_events()
+    }
+}
+
+/// One worker's frame sink: every record reaches the caller's recorder
+/// at once and a worker-private [`WindowTally`], which [`Self::merge`]
+/// adds to the live ring in one lock acquisition. A 1 km upload makes
+/// about 3,600 records (one per EKF update), so the ring lock is taken
+/// a handful of times per frame instead of once per record, and no
+/// record reads the clock for a timestamp: the frame's records land in
+/// the window in which it is merged.
+struct FrameRecorder<'a, R> {
+    service: &'a ServiceRecorder<R>,
+    // sync: only the owning worker thread records or merges; the mutex
+    // exists because `Recorder` is `Sync`, so it is never contended.
+    // Poisoning skips the record, matching the obs lock idiom.
+    tally: Mutex<WindowTally>,
+}
+
+impl<'a, R: Recorder + Send + Sync> FrameRecorder<'a, R> {
+    fn new(service: &'a ServiceRecorder<R>) -> Self {
+        FrameRecorder { service, tally: Mutex::new(WindowTally::new()) }
+    }
+
+    /// Adds the tally to the live ring at "now" and empties it.
+    fn merge(&self) {
+        if let Ok(mut tally) = self.tally.lock() {
+            let ts = &self.service.ts;
+            ts.series().merge_at(ts.now_ns(), &tally);
+            tally.clear();
+        }
+    }
+}
+
+impl<R: Recorder + Send + Sync> Recorder for FrameRecorder<'_, R> {
+    fn record_span(&self, span: Span, ns: u64) {
+        self.service.inner.record_span(span, ns);
+        if let Ok(mut tally) = self.tally.lock() {
+            tally.span(span, ns);
+        }
+    }
+
+    fn incr(&self, counter: Counter, by: u64) {
+        self.service.inner.incr(counter, by);
+        if let Ok(mut tally) = self.tally.lock() {
+            tally.incr(counter, by);
+        }
+    }
+
+    fn observe(&self, hist: Histogram, value: f64) {
+        self.service.inner.observe(hist, value);
+        if let Ok(mut tally) = self.tally.lock() {
+            tally.observe(hist, value);
+        }
+    }
+
+    fn event(&self, ev: TraceEvent) {
+        self.service.inner.event(ev);
+    }
+
+    fn dropped_events(&self) -> u64 {
+        self.service.dropped_events()
     }
 }
 
@@ -580,9 +648,10 @@ impl WorkerScratch {
 
 fn worker_loop<R: Recorder + Send + Sync>(shared: &Shared<R>, rx: &Receiver<(u32, TcpStream)>) {
     let mut scratch = WorkerScratch::new();
+    let rec = FrameRecorder::new(&shared.rec);
     let mut warm_frames = 0u64;
     for (conn, stream) in rx.iter() {
-        handle_conn(shared, conn, stream, &mut scratch, &mut warm_frames);
+        handle_conn(shared, &rec, conn, stream, &mut scratch, &mut warm_frames);
     }
 }
 
@@ -605,6 +674,7 @@ fn read_header(stream: &mut TcpStream) -> std::io::Result<Option<[u8; HEADER_BYT
 
 fn reject_frame<R: Recorder + Send + Sync>(
     shared: &Shared<R>,
+    rec: &FrameRecorder<'_, R>,
     conn: u32,
     stream: &mut TcpStream,
     reply: &mut Vec<u8>,
@@ -612,9 +682,9 @@ fn reject_frame<R: Recorder + Send + Sync>(
 ) {
     // sync: Relaxed statistic (see Stats).
     shared.stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-    shared.rec.incr(Counter::ServiceFramesRejected, 1);
-    if shared.rec.enabled() {
-        shared.rec.event(TraceEvent::ServiceFrameRejected { conn, code: err.code() });
+    rec.incr(Counter::ServiceFramesRejected, 1);
+    if rec.enabled() {
+        rec.event(TraceEvent::ServiceFrameRejected { conn, code: err.code() });
     }
     encode_err_frame(err.code(), reply);
     let _ = stream.write_all(reply);
@@ -622,6 +692,7 @@ fn reject_frame<R: Recorder + Send + Sync>(
 
 fn handle_conn<R: Recorder + Send + Sync>(
     shared: &Shared<R>,
+    rec: &FrameRecorder<'_, R>,
     conn: u32,
     mut stream: TcpStream,
     scratch: &mut WorkerScratch,
@@ -633,7 +704,7 @@ fn handle_conn<R: Recorder + Send + Sync>(
         let header = match decode_header(hdr) {
             Ok(header) => header,
             Err(err) => {
-                reject_frame(shared, conn, &mut stream, &mut scratch.reply, err);
+                reject_frame(shared, rec, conn, &mut stream, &mut scratch.reply, err);
                 break;
             }
         };
@@ -641,10 +712,10 @@ fn handle_conn<R: Recorder + Send + Sync>(
         if stream.read_exact(&mut scratch.payload).is_err() {
             break;
         }
-        let frame_timer = SpanTimer::start(&shared.rec);
+        let frame_timer = SpanTimer::start(rec);
         let ok = match header.tag {
-            TAG_UPLOAD => handle_upload(shared, conn, &mut stream, scratch, warm_frames),
-            TAG_TILE_QUERY => handle_tile_query(shared, conn, &mut stream, scratch),
+            TAG_UPLOAD => handle_upload(shared, rec, conn, &mut stream, scratch, warm_frames),
+            TAG_TILE_QUERY => handle_tile_query(shared, rec, conn, &mut stream, scratch),
             TAG_METRICS => {
                 let text = shared.prometheus();
                 crate::protocol::begin_frame(TAG_METRICS_TEXT, &mut scratch.reply);
@@ -653,20 +724,21 @@ fn handle_conn<R: Recorder + Send + Sync>(
                 stream.write_all(&scratch.reply).is_ok()
             }
             TAG_STATUS => {
-                let status_timer = SpanTimer::start(&shared.rec);
+                let status_timer = SpanTimer::start(rec);
                 let text = shared.status_json();
                 crate::protocol::begin_frame(TAG_STATUS_TEXT, &mut scratch.reply);
                 scratch.reply.extend_from_slice(text.as_bytes());
                 finish_frame(&mut scratch.reply);
-                status_timer.finish(&shared.rec, Span::ServiceStatus);
+                status_timer.finish(rec, Span::ServiceStatus);
                 // sync: Relaxed statistic (see Stats).
                 shared.stats.status_queries.fetch_add(1, Ordering::Relaxed);
-                shared.rec.incr(Counter::ServiceStatusQueries, 1);
+                rec.incr(Counter::ServiceStatusQueries, 1);
                 stream.write_all(&scratch.reply).is_ok()
             }
             tag => {
                 reject_frame(
                     shared,
+                    rec,
                     conn,
                     &mut stream,
                     &mut scratch.reply,
@@ -675,24 +747,30 @@ fn handle_conn<R: Recorder + Send + Sync>(
                 false
             }
         };
-        frame_timer.finish(&shared.rec, Span::ServiceFrame);
+        frame_timer.finish(rec, Span::ServiceFrame);
         if !ok {
             break;
         }
         // sync: Relaxed statistic (see Stats).
         shared.stats.frames_ok.fetch_add(1, Ordering::Relaxed);
-        shared.rec.incr(Counter::ServiceFramesOk, 1);
+        rec.incr(Counter::ServiceFramesOk, 1);
         frames += 1;
+        // The frame's records reach the ring before the tick reads it.
+        rec.merge();
         shared.tick_telemetry();
     }
-    if shared.rec.enabled() {
-        shared.rec.event(TraceEvent::ServiceConnClosed { conn, frames });
+    // A frame that closed the connection (rejected, or its reply
+    // failed) still reaches the ring; an empty tally takes no lock.
+    rec.merge();
+    if rec.enabled() {
+        rec.event(TraceEvent::ServiceConnClosed { conn, frames });
     }
 }
 
 /// Handles one UPLOAD frame. Returns whether the connection stays open.
 fn handle_upload<R: Recorder + Send + Sync>(
     shared: &Shared<R>,
+    rec: &FrameRecorder<'_, R>,
     conn: u32,
     stream: &mut TcpStream,
     scratch: &mut WorkerScratch,
@@ -701,9 +779,9 @@ fn handle_upload<R: Recorder + Send + Sync>(
     if !shared.gate.begin() {
         // sync: Relaxed statistic (see Stats).
         shared.stats.busy_rejects.fetch_add(1, Ordering::Relaxed);
-        shared.rec.incr(Counter::ServiceBusyRejects, 1);
-        if shared.rec.enabled() {
-            shared.rec.event(TraceEvent::ServiceBusy { conn, reason: BUSY_DRAINING });
+        rec.incr(Counter::ServiceBusyRejects, 1);
+        if rec.enabled() {
+            rec.event(TraceEvent::ServiceBusy { conn, reason: BUSY_DRAINING });
         }
         encode_busy_frame(BUSY_DRAINING, &mut scratch.reply);
         let _ = stream.write_all(&scratch.reply);
@@ -711,12 +789,12 @@ fn handle_upload<R: Recorder + Send + Sync>(
     }
     let probe = ALLOC_PROBE.get().copied();
     let allocs_before = probe.map(|p| p()).unwrap_or(0);
-    let decode_timer = SpanTimer::start(&shared.rec);
+    let decode_timer = SpanTimer::start(rec);
     let decoded = decode_upload_into(&scratch.payload, &mut scratch.upload);
-    decode_timer.finish(&shared.rec, Span::ServiceDecode);
+    decode_timer.finish(rec, Span::ServiceDecode);
     if let Err(err) = decoded {
         shared.gate.end();
-        reject_frame(shared, conn, stream, &mut scratch.reply, err);
+        reject_frame(shared, rec, conn, stream, &mut scratch.reply, err);
         return false;
     }
     shared.estimator.estimate_into_recorded(
@@ -724,8 +802,12 @@ fn handle_upload<R: Recorder + Send + Sync>(
         None,
         &mut scratch.est,
         &mut scratch.out,
-        &shared.rec,
+        rec,
     );
+    // The estimate's records are nearly all of the frame's; merging
+    // them here keeps the merge inside the allocation probe, while the
+    // cloud upload below (which grows cells for new roads) stays out.
+    rec.merge();
     if let Some(p) = probe {
         let diff = p().saturating_sub(allocs_before);
         // The first frames warm the scratch buffers; everything after
@@ -737,7 +819,7 @@ fn handle_upload<R: Recorder + Send + Sync>(
         }
         *warm_frames += 1;
     }
-    shared.cloud.upload_recorded(scratch.upload.road_id, &scratch.out.fused, &shared.rec);
+    shared.cloud.upload_recorded(scratch.upload.road_id, &scratch.out.fused, rec);
     shared.gate.end();
     // sync: Relaxed statistic (see Stats).
     shared.stats.uploads_acked.fetch_add(1, Ordering::Relaxed);
@@ -749,6 +831,7 @@ fn handle_upload<R: Recorder + Send + Sync>(
 /// open.
 fn handle_tile_query<R: Recorder + Send + Sync>(
     shared: &Shared<R>,
+    rec: &FrameRecorder<'_, R>,
     conn: u32,
     stream: &mut TcpStream,
     scratch: &mut WorkerScratch,
@@ -756,6 +839,7 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
     let Some(bounds) = decode_tile_bounds(&scratch.payload) else {
         reject_frame(
             shared,
+            rec,
             conn,
             stream,
             &mut scratch.reply,
@@ -763,7 +847,7 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
         );
         return false;
     };
-    let tile_timer = SpanTimer::start(&shared.rec);
+    let tile_timer = SpanTimer::start(rec);
     edges_in_tile_into(&shared.index, bounds, &mut scratch.query, &mut scratch.tile_edges);
     crate::protocol::begin_frame(TAG_TILE, &mut scratch.reply);
     // TileWriter writes the bare payload; splice it after the header
@@ -781,9 +865,47 @@ fn handle_tile_query<R: Recorder + Send + Sync>(
     }
     scratch.reply.extend_from_slice(&scratch.payload);
     finish_frame(&mut scratch.reply);
-    tile_timer.finish(&shared.rec, Span::ServiceTileQuery);
+    tile_timer.finish(rec, Span::ServiceTileQuery);
     // sync: Relaxed statistic (see Stats).
     shared.stats.tile_queries.fetch_add(1, Ordering::Relaxed);
-    shared.rec.incr(Counter::ServiceTileQueries, 1);
+    rec.incr(Counter::ServiceTileQueries, 1);
     stream.write_all(&scratch.reply).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gradest_obs::NoopRecorder;
+
+    /// A frame's records take no ring lock: the ring sees none of them
+    /// until the worker merges, and then all of them at once.
+    #[test]
+    fn frame_records_reach_the_ring_only_at_merge() {
+        let service = ServiceRecorder {
+            inner: Arc::new(NoopRecorder),
+            ts: TimeSeriesRecorder::new(TimeSeriesConfig::default()),
+        };
+        let rec = FrameRecorder::new(&service);
+        for i in 0..3_600 {
+            rec.observe(Histogram::EkfInnovation, f64::from(i) * 1e-3 - 1.8);
+        }
+        rec.record_span(Span::ServiceFrame, 2_000_000);
+        rec.incr(Counter::ServiceFramesOk, 1);
+        let ring = service.ts.series();
+        let windows = ring.config().windows;
+        let counts = || {
+            let now = service.ts.now_ns();
+            (
+                ring.hist_count(Histogram::EkfInnovation, windows, now),
+                ring.span_count(Span::ServiceFrame, windows, now),
+                ring.delta(Counter::ServiceFramesOk, windows, now),
+            )
+        };
+        assert_eq!(counts(), (0, 0, 0));
+        rec.merge();
+        assert_eq!(counts(), (3_600, 1, 1));
+        // The merge emptied the tally: merging again adds nothing.
+        rec.merge();
+        assert_eq!(counts(), (3_600, 1, 1));
+    }
 }

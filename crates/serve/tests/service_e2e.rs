@@ -11,7 +11,10 @@ use gradest_core::track::GradientTrack;
 use gradest_geo::road::{build_from_sections, RoadClass, SectionSpec};
 use gradest_geo::tile::edges_in_tile_into;
 use gradest_geo::{NetworkIndex, QueryScratch, RoadNetwork, Route};
-use gradest_obs::{validate_prometheus_text, NoopRecorder, RunRecorder, TraceRing};
+use gradest_obs::{
+    validate_prometheus_text, Counter, Histogram, NoopRecorder, RunRecorder, Span, Tee, TraceEvent,
+    TraceRing,
+};
 use gradest_sensors::suite::{SensorConfig, SensorLog, SensorSuite};
 use gradest_serve::client::{Client, ServerReply};
 use gradest_serve::protocol::{
@@ -140,6 +143,71 @@ fn served_tiles_are_bit_identical_to_direct_aggregation() {
     assert_eq!(report.stats.frames_rejected, 0);
     let obs = rec.report();
     assert!(obs.spans.iter().any(|s| s.name == "service-frame" && s.count == 13));
+}
+
+/// Workers tally a frame's records and merge them into the live ring
+/// once per frame; none may be lost or merged twice. Over two
+/// connections served concurrently by two workers, the ring's totals
+/// must equal the caller's `RunRecorder`, which gets every record as
+/// it happens.
+#[test]
+fn live_ring_totals_equal_the_callers_recorder() {
+    let net = parallel_roads_network(3);
+    let cfg = ServeConfig { workers: 2, ..Default::default() };
+    let rec = Arc::new(Tee::new(RunRecorder::new(), TraceRing::with_capacity(1 << 16)));
+    let server = start(&cfg, "127.0.0.1:0", &net, Arc::clone(&rec)).expect("bind loopback");
+    const PER_CLIENT: u64 = 6;
+    std::thread::scope(|scope| {
+        for c in 0..2u64 {
+            let (net, addr) = (&net, server.addr());
+            scope.spawn(move || {
+                let mut client = Client::connect(addr, TIMEOUT).expect("connect");
+                for i in 0..PER_CLIENT {
+                    let edge = ((c * PER_CLIENT + i) % 3) as usize;
+                    let log = trip_log(net, edge, 700 + c * PER_CLIENT + i);
+                    match client.upload(edge as u64, &log).expect("upload") {
+                        ServerReply::Ack { .. } => {}
+                        other => panic!("unexpected upload reply: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    // A worker records a frame's tail (its span, the ok counter) after
+    // the reply and merges before it reads the next header or closes
+    // the connection. The close event follows the last merge, so once
+    // both connections report it, the ring holds every record.
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    let closed = || {
+        let events = rec.b.snapshot().events;
+        events.iter().filter(|r| matches!(r.event, TraceEvent::ServiceConnClosed { .. })).count()
+    };
+    while closed() < 2 {
+        assert!(std::time::Instant::now() < deadline, "connections never closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let ring = server.timeseries();
+    let (now, windows) = (server.telemetry_now_ns(), cfg.timeseries.windows);
+    let run = &rec.a;
+    for counter in [
+        Counter::EkfUpdatesGps,
+        Counter::EkfUpdatesSpeedometer,
+        Counter::EkfUpdatesCanBus,
+        Counter::EkfUpdatesAccelerometer,
+        Counter::CloudUploads,
+        Counter::ServiceFramesOk,
+    ] {
+        assert_eq!(ring.delta(counter, windows, now), run.counter_value(counter), "{counter:?}");
+    }
+    assert_eq!(run.counter_value(Counter::CloudUploads), 2 * PER_CLIENT);
+    assert_eq!(run.counter_value(Counter::ServiceFramesOk), 2 * PER_CLIENT);
+    let (innovations, _) = run.histogram_stats(Histogram::EkfInnovation).expect("innovations");
+    assert!(innovations > 1_000, "{innovations} innovations");
+    assert_eq!(ring.hist_count(Histogram::EkfInnovation, windows, now), innovations);
+    let frames = run.report().span("service-frame").map_or(0, |s| s.count);
+    assert_eq!(ring.span_count(Span::ServiceFrame, windows, now), frames);
+    assert_eq!(ring.late_drops(), 0);
+    assert!(server.shutdown().is_clean());
 }
 
 #[test]
